@@ -7,7 +7,7 @@ package replayopt
 // and earning zero Rejected verdicts. The summaries come from the same
 // pts.Attach the optimizer's prepare stage runs, so this exercises exactly
 // the facts the search would hand the passes. This is the whole-program
-// complement of the per-pass progen fuzzing cmd/tvlint runs (tv.Differential
+// complement of the per-pass progen fuzzing `audit tv -fuzz` runs (tv.Differential
 // drills lir.PassNames(), which the registration assertion below ties to the
 // new pass).
 
@@ -32,7 +32,7 @@ var aliasPassSpecs = []lir.PassSpec{
 	{Name: "stackalloc"},
 }
 
-// TestAliasPassesInFuzzerPool: tv.Differential (the tvlint fuzzer) drills
+// TestAliasPassesInFuzzerPool: tv.Differential (the `audit tv -fuzz` fuzzer) drills
 // lir.PassNames() by default, so registration is what opts stackalloc into
 // that coverage alongside the long-registered memory passes.
 func TestAliasPassesInFuzzerPool(t *testing.T) {
@@ -42,7 +42,7 @@ func TestAliasPassesInFuzzerPool(t *testing.T) {
 	}
 	for _, spec := range aliasPassSpecs {
 		if !registered[spec.Name] {
-			t.Errorf("pass %s not in lir.PassNames(); tvlint's fuzzer would skip it", spec.Name)
+			t.Errorf("pass %s not in lir.PassNames(); the tv fuzzer would skip it", spec.Name)
 		}
 	}
 }

@@ -37,8 +37,10 @@ import (
 	"replayopt/internal/obs"
 	"replayopt/internal/profile"
 	"replayopt/internal/rt"
+	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
 	"replayopt/internal/sa/vra"
+	"replayopt/internal/schema"
 	"replayopt/internal/verify"
 )
 
@@ -51,6 +53,22 @@ func benchScale(b *testing.B) exp.Scale {
 }
 
 const benchSeed = 1
+
+// writeArtifact checks doc through the strict decoder, as `audit check bench`
+// will, and writes it to path as indented JSON.
+func writeArtifact(b *testing.B, path string, doc schema.Checker) {
+	b.Helper()
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := schema.Decode(data, doc); err != nil {
+		b.Fatalf("%s fails its own schema: %v", path, err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		b.Fatal(err)
+	}
+}
 
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -316,25 +334,6 @@ func BenchmarkScheduleTable(b *testing.B) {
 func BenchmarkEffectAnalysis(b *testing.B) {
 	appNames := []string{"FFT", "BubbleSort", "MaterialLife", "DroidFish"}
 
-	type appRow struct {
-		App           string `json:"app"`
-		Methods       int    `json:"methods"`
-		DeepBlocklist int    `json:"deep_replayable_blocklist"`
-		DeepEffects   int    `json:"deep_replayable_effects"`
-		GCChkBaseline int    `json:"gcchk_baseline"`
-		GCChkEffects  int    `json:"gcchk_effects"`
-		CallVBaseline int    `json:"callv_baseline"`
-		CallVEffects  int    `json:"callv_effects"`
-	}
-	type vmapRow struct {
-		App                 string `json:"app"`
-		Region              string `json:"region_root"`
-		RegionEffect        string `json:"region_effect"`
-		EntriesConservative int    `json:"entries_conservative"`
-		EntriesEffects      int    `json:"entries_effects"`
-		StoresSkipped       bool   `json:"stores_skipped"`
-	}
-
 	countOps := func(code *machine.Program) (gcchk, callv int) {
 		for _, fn := range code.Fns {
 			for _, in := range fn.Code {
@@ -356,8 +355,8 @@ func BenchmarkEffectAnalysis(b *testing.B) {
 		return apps.ByName(name)
 	}
 
-	var rows []appRow
-	var vmaps []vmapRow
+	var rows []sa.BenchApp
+	var vmaps []sa.BenchVmap
 	for i := 0; i < b.N; i++ {
 		rows, vmaps = nil, nil
 		for _, name := range append(appNames, "WitnessFilter") {
@@ -371,7 +370,7 @@ func BenchmarkEffectAnalysis(b *testing.B) {
 			}
 			eff := profile.Analyze(app.Prog)
 			block := profile.AnalyzeBlocklist(app.Prog)
-			row := appRow{App: name, Methods: len(app.Prog.Methods)}
+			row := sa.BenchApp{App: name, Methods: len(app.Prog.Methods)}
 			var compilable []dex.MethodID
 			for id := range app.Prog.Methods {
 				if block.ReplayableDeep[id] {
@@ -426,7 +425,7 @@ func BenchmarkEffectAnalysis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			vmaps = append(vmaps, vmapRow{
+			vmaps = append(vmaps, sa.BenchVmap{
 				App:                 name,
 				Region:              app.Prog.Methods[p.Region.Root].Name,
 				RegionEffect:        p.Analysis.Effects.Summary[p.Region.Root].String(),
@@ -448,22 +447,16 @@ func BenchmarkEffectAnalysis(b *testing.B) {
 	b.ReportMetric(float64(gcElim), "gcchk-eliminated")
 	b.ReportMetric(float64(callvElim), "callv-devirtualized")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":            2,
-		"benchmark":                 "EffectAnalysis",
-		"apps":                      rows,
-		"vmap":                      vmaps,
-		"deep_replayable_blocklist": deepBlock,
-		"deep_replayable_effects":   deepEff,
-		"gcchk_eliminated":          gcElim,
-		"callv_devirtualized":       callvElim,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_sa.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeArtifact(b, "BENCH_sa.json", &sa.Bench{
+		SchemaVersion:      sa.BenchSchemaVersion,
+		Benchmark:          "EffectAnalysis",
+		Apps:               rows,
+		Vmap:               vmaps,
+		DeepBlocklist:      deepBlock,
+		DeepEffects:        deepEff,
+		GCChkEliminated:    gcElim,
+		CallVDevirtualized: callvElim,
+	})
 	fmt.Printf("effect analysis: deep-replayable %d -> %d; %d GC checks eliminated, %d virtual calls devirtualized\n",
 		deepBlock, deepEff, gcElim, callvElim)
 }
@@ -477,7 +470,7 @@ func BenchmarkEffectAnalysis(b *testing.B) {
 // properties the passes claim: a validated compile produces zero tv
 // rejections, and a GA search with the range passes excluded from the pool
 // yields a byte-identical decision trace whether summaries are attached or
-// not. Results land in BENCH_range.json (schema checked by cmd/benchlint).
+// not. Results land in BENCH_range.json (checked by `audit check bench`).
 func BenchmarkRangeAnalysis(b *testing.B) {
 	// Kernel subjects: hot regions whose index expressions the analysis can
 	// relate to array lengths (direct len() loop bounds). The others are
@@ -486,19 +479,6 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 	kernelApps := map[string]bool{"SOR": true, "SelectionSort": true}
 	appNames := []string{"SOR", "SelectionSort", "FFT", "LU", "BubbleSort", "MaterialLife"}
 	const minKernelDischargePct = 50.0
-
-	type appRow struct {
-		App           string  `json:"app"`
-		Kernel        bool    `json:"kernel"`
-		BoundsBase    int     `json:"bounds_base"`
-		BoundsOpt     int     `json:"bounds_opt"`
-		DischargePct  float64 `json:"discharge_pct"`
-		UnguardedDivs int     `json:"unguarded_divs"`
-		CyclesBase    uint64  `json:"cycles_base"`
-		CyclesOpt     uint64  `json:"cycles_opt"`
-		CycleDeltaPct float64 `json:"cycle_delta_pct"`
-		AnalysisMs    float64 `json:"analysis_ms"`
-	}
 
 	countOps := func(code *machine.Program) (bound, divu int) {
 		for _, fn := range code.Fns {
@@ -529,7 +509,7 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 		{Name: "dce"},
 	}
 
-	var rows []appRow
+	var rows []vra.BenchApp
 	var tvRejected int
 	traceParity := false
 	for i := 0; i < b.N; i++ {
@@ -587,7 +567,7 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 			_, _, rejected := chk.Counts()
 			tvRejected += rejected
 
-			row := appRow{App: name, Kernel: kernelApps[name], AnalysisMs: analysisMs}
+			row := vra.BenchApp{App: name, Kernel: kernelApps[name], AnalysisMs: analysisMs}
 			row.BoundsBase, _ = countOps(baseRegion)
 			row.BoundsOpt, row.UnguardedDivs = countOps(optRegion)
 			if row.BoundsBase > 0 {
@@ -652,22 +632,16 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 	b.ReportMetric(float64(discharged)/float64(totalBase)*100, "%discharged")
 	b.ReportMetric(analysisMs/float64(len(rows)), "analysis-ms/app")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":           1,
-		"benchmark":                "RangeAnalysis",
-		"apps":                     rows,
-		"kernel_min_discharge_pct": minKernelDischargePct,
-		"bounds_discharged":        discharged,
-		"tv_rejected":              tvRejected,
-		"trace_parity":             traceParity,
-		"trace_app":                "Fibonacci.recv",
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_range.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeArtifact(b, "BENCH_range.json", &vra.Bench{
+		SchemaVersion: vra.BenchSchemaVersion,
+		Benchmark:     "RangeAnalysis",
+		Apps:          rows,
+		KernelMinPct:  minKernelDischargePct,
+		Discharged:    discharged,
+		TVRejected:    tvRejected,
+		TraceParity:   traceParity,
+		TraceApp:      "Fibonacci.recv",
+	})
 	fmt.Printf("range analysis: %d/%d hot-region bounds checks discharged; tv rejects %d; trace parity %v\n",
 		discharged, totalBase, tvRejected, traceParity)
 	for _, r := range rows {
@@ -687,7 +661,7 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 // zero tv rejections, and a GA search with the alias-consuming passes
 // excluded from the pool yields a byte-identical decision trace whether
 // summaries are attached or not. Results land in BENCH_alias.json (schema
-// checked by cmd/benchlint).
+// checked by `audit check bench`).
 func BenchmarkAliasAnalysis(b *testing.B) {
 	// Kernel subjects: hot regions over several distinct arrays or fields,
 	// where base/slot separation is provable. FFT and SOR are reported but
@@ -696,27 +670,6 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 	kernelApps := map[string]bool{"Sparse matmult": true, "Linpack": true, "Dhrystone": true}
 	appNames := []string{"Sparse matmult", "Linpack", "Dhrystone", "FFT", "SOR", "MaterialLife"}
 	const minKernelDisambiguationPct = 30.0
-
-	type appRow struct {
-		App               string  `json:"app"`
-		Kernel            bool    `json:"kernel"`
-		Pairs             int     `json:"pairs"`
-		Proven            int     `json:"proven"`
-		DisambiguationPct float64 `json:"disambiguation_pct"`
-		Sites             int     `json:"sites"`
-		NonEscaping       int     `json:"non_escaping"`
-		CyclesBase        uint64  `json:"cycles_base"`
-		CyclesOpt         uint64  `json:"cycles_opt"`
-		CycleDeltaPct     float64 `json:"cycle_delta_pct"`
-		AnalysisMs        float64 `json:"analysis_ms"`
-	}
-	type vmapRow struct {
-		App          string `json:"app"`
-		Region       string `json:"region"`
-		EntriesBlind int    `json:"entries_blind"`
-		EntriesAlias int    `json:"entries_alias"`
-		StoresElided int    `json:"stores_elided"`
-	}
 
 	runProgram := func(app *core.App, code *machine.Program) (uint64, error) {
 		_, x := app.NewProcessAndExec(code)
@@ -741,8 +694,8 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 		{Name: "dce"},
 	}
 
-	var rows []appRow
-	var vmaps []vmapRow
+	var rows []pts.BenchApp
+	var vmaps []pts.BenchVmap
 	var tvRejected int
 	traceParity := false
 	for i := 0; i < b.N; i++ {
@@ -779,7 +732,7 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 			analysisMs := time.Since(start).Seconds() * 1000
 
 			rep := pts.BuildReport(name, analysis.Effects, region.Methods)
-			row := appRow{
+			row := pts.BenchApp{
 				App: name, Kernel: kernelApps[name], AnalysisMs: analysisMs,
 				Pairs: rep.Totals.Pairs, Proven: rep.Totals.Proven,
 				Sites: rep.Totals.Sites, NonEscaping: rep.Totals.NonEscaping,
@@ -859,7 +812,7 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 			if len(aware.Entries) > len(blind.Entries) {
 				b.Fatalf("%s: alias-aware vmap grew (%d -> %d entries)", name, len(blind.Entries), len(aware.Entries))
 			}
-			vmaps = append(vmaps, vmapRow{
+			vmaps = append(vmaps, pts.BenchVmap{
 				App:          name,
 				Region:       app.Prog.Methods[p.Region.Root].Name,
 				EntriesBlind: len(blind.Entries),
@@ -910,25 +863,19 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 	b.ReportMetric(float64(elided), "stores-elided")
 	b.ReportMetric(analysisMs/float64(len(rows)), "analysis-ms/app")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":                1,
-		"benchmark":                     "AliasAnalysis",
-		"apps":                          rows,
-		"vmap":                          vmaps,
-		"kernel_min_disambiguation_pct": minKernelDisambiguationPct,
-		"pairs_proven":                  proven,
-		"pairs_total":                   pairs,
-		"stores_elided":                 elided,
-		"tv_rejected":                   tvRejected,
-		"trace_parity":                  traceParity,
-		"trace_app":                     "Fibonacci.recv",
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_alias.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeArtifact(b, "BENCH_alias.json", &pts.Bench{
+		SchemaVersion: pts.BenchSchemaVersion,
+		Benchmark:     "AliasAnalysis",
+		Apps:          rows,
+		Vmap:          vmaps,
+		KernelMinPct:  minKernelDisambiguationPct,
+		PairsProven:   proven,
+		PairsTotal:    pairs,
+		StoresElided:  elided,
+		TVRejected:    tvRejected,
+		TraceParity:   traceParity,
+		TraceApp:      "Fibonacci.recv",
+	})
 	fmt.Printf("alias analysis: %d/%d same-kind pairs disambiguated; %d vmap stores elided; tv rejects %d; trace parity %v\n",
 		proven, pairs, elided, tvRejected, traceParity)
 	for _, r := range rows {
@@ -988,18 +935,7 @@ func main() int {
 func BenchmarkTranslationValidation(b *testing.B) {
 	appNames := []string{"FFT", "BubbleSort", "MaterialLife", "DroidFish"}
 
-	type presetRow struct {
-		App        string  `json:"app"`
-		Preset     string  `json:"preset"`
-		PlainMs    float64 `json:"compile_ms"`
-		CheckedMs  float64 `json:"compile_checked_ms"`
-		PerPassUs  float64 `json:"validate_per_pass_us"`
-		Verified   int     `json:"verified"`
-		Unverified int     `json:"unverified"`
-		Rejected   int     `json:"rejected"`
-	}
-
-	var rows []presetRow
+	var rows []tv.BenchPreset
 	var tvRejects, savedReplays int
 	for i := 0; i < b.N; i++ {
 		rows = nil
@@ -1027,7 +963,7 @@ func BenchmarkTranslationValidation(b *testing.B) {
 					b.Fatal(err)
 				}
 				checkedMs := time.Since(start).Seconds() * 1000
-				row := presetRow{App: name, Preset: preset, PlainMs: plainMs, CheckedMs: checkedMs}
+				row := tv.BenchPreset{App: name, Preset: preset, PlainMs: plainMs, CheckedMs: checkedMs}
 				row.Verified, row.Unverified, row.Rejected = chk.Counts()
 				if n := len(chk.Verdicts); n > 0 {
 					row.PerPassUs = (checkedMs - plainMs) * 1000 / float64(n)
@@ -1079,23 +1015,17 @@ func BenchmarkTranslationValidation(b *testing.B) {
 	b.ReportMetric(float64(tvRejects), "tv-rejects")
 	b.ReportMetric(float64(savedReplays), "replay-evals-saved")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":     1,
-		"benchmark":          "TranslationValidation",
-		"presets":            rows,
-		"compile_ms":         plain,
-		"compile_checked_ms": checked,
-		"verified":           verified,
-		"unverified":         unverified,
-		"tv_rejects":         tvRejects,
-		"replay_evals_saved": savedReplays,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_tv.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeArtifact(b, "BENCH_tv.json", &tv.Bench{
+		SchemaVersion:    tv.BenchSchemaVersion,
+		Benchmark:        "TranslationValidation",
+		Presets:          rows,
+		CompileMs:        plain,
+		CompileCheckedMs: checked,
+		Verified:         verified,
+		Unverified:       unverified,
+		TVRejects:        tvRejects,
+		ReplayEvalsSaved: savedReplays,
+	})
 	fmt.Printf("translation validation: %.0f%% compile overhead; %d/%d passes verified; %d candidates rejected statically, %d replays saved\n",
 		(checked-plain)/plain*100, verified, verified+unverified, tvRejects, savedReplays)
 }
@@ -1105,7 +1035,7 @@ func BenchmarkTranslationValidation(b *testing.B) {
 // and off. Every cell of the sweep must produce a byte-identical decision
 // trace (the determinism guarantee); only the wall clock may differ. Rows
 // with evals/sec per cell land in BENCH_parallel.json (schema v3, validated
-// and regression-checked by cmd/benchlint), alongside the restore/clone/
+// and regression-checked by `audit bench`), alongside the restore/clone/
 // reset histograms that show the warm path's amortization.
 //
 // The subject is Fibonacci.recv — a restore-bound region (short replay over
@@ -1140,14 +1070,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 		sweep = append(sweep, cpus)
 	}
 
-	type sweepRow struct {
-		Workers     int     `json:"workers"`
-		Warm        bool    `json:"warm"`
-		Ms          float64 `json:"ms"`
-		Evaluations int     `json:"evaluations"`
-		EvalsPerSec float64 `json:"evals_per_sec"`
-	}
-	var rows []sweepRow
+	var rows []ga.BenchRow
 	var res *ga.Result
 	var col *obs.Collect
 	var reg *obs.Registry
@@ -1178,7 +1101,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 				} else if trace != refTrace {
 					b.Fatalf("search diverged at workers=%d warm=%v", w, warm)
 				}
-				rows = append(rows, sweepRow{
+				rows = append(rows, ga.BenchRow{
 					Workers:     w,
 					Warm:        warm,
 					Ms:          ms,
@@ -1192,14 +1115,14 @@ func BenchmarkSearchParallel(b *testing.B) {
 		}
 		opt.Store.Obs = nil
 	}
-	cell := func(workers int, warm bool) sweepRow {
+	cell := func(workers int, warm bool) ga.BenchRow {
 		for _, r := range rows {
 			if r.Workers == workers && r.Warm == warm {
 				return r
 			}
 		}
 		b.Fatalf("missing sweep cell workers=%d warm=%v", workers, warm)
-		return sweepRow{}
+		return ga.BenchRow{}
 	}
 	maxW := sweep[len(sweep)-1]
 	coldPar, warmPar := cell(maxW, false), cell(maxW, true)
@@ -1210,17 +1133,9 @@ func BenchmarkSearchParallel(b *testing.B) {
 	b.ReportMetric(warmSpeedup, "warm-speedup")
 	b.ReportMetric(warmPar.EvalsPerSec, "evals/sec")
 
-	type genRow struct {
-		Gen       int     `json:"gen"`
-		Evals     int     `json:"evals"`
-		CacheHits int     `json:"cache_hits"`
-		P50Ms     float64 `json:"eval_p50_ms"`
-		P99Ms     float64 `json:"eval_p99_ms"`
-		BestSpeed float64 `json:"best_speedup"`
-	}
-	var gens []genRow
+	var gens []ga.BenchGen
 	for _, sd := range col.ByName("ga.generation") {
-		gens = append(gens, genRow{
+		gens = append(gens, ga.BenchGen{
 			Gen:       int(obs.Num(sd.Attrs, "gen")),
 			Evals:     int(obs.Num(sd.Attrs, "evals")),
 			CacheHits: int(obs.Num(sd.Attrs, "cache_hits")),
@@ -1234,33 +1149,27 @@ func BenchmarkSearchParallel(b *testing.B) {
 	cloneHist := reg.Histogram("replay.clone_ms")
 	resetHist := reg.Histogram("replay.reset_ms")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":  3,
-		"benchmark":       "SearchParallel",
-		"app":             searchParallelApp,
-		"scale":           scale.Name,
-		"max_workers":     maxW,
-		"rows":            rows,
-		"warm_speedup":    warmSpeedup,
-		"evaluations":     res.Stats.Evaluations,
-		"cache_hits":      res.Stats.CacheHits,
-		"considered":      res.Stats.Considered,
-		"saved_replay_ms": res.Stats.SavedReplayMs,
-		"eval_p50_ms":     evalHist.Quantile(0.50),
-		"eval_p99_ms":     evalHist.Quantile(0.99),
-		"restore_p50_ms":  restoreHist.Quantile(0.50),
-		"clone_p50_ms":    cloneHist.Quantile(0.50),
-		"reset_p50_ms":    resetHist.Quantile(0.50),
-		"template_builds": reg.Counter("replay.template_builds").Value(),
-		"warm_runs":       reg.Counter("replay.warm_runs").Value(),
-		"generations":     gens,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_parallel.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeArtifact(b, "BENCH_parallel.json", &ga.Bench{
+		SchemaVersion:  ga.BenchSchemaVersion,
+		Benchmark:      "SearchParallel",
+		App:            searchParallelApp,
+		Scale:          scale.Name,
+		MaxWorkers:     maxW,
+		Rows:           rows,
+		WarmSpeedup:    warmSpeedup,
+		Evaluations:    res.Stats.Evaluations,
+		CacheHits:      res.Stats.CacheHits,
+		Considered:     res.Stats.Considered,
+		SavedReplayMs:  res.Stats.SavedReplayMs,
+		EvalP50Ms:      evalHist.Quantile(0.50),
+		EvalP99Ms:      evalHist.Quantile(0.99),
+		RestoreP50Ms:   restoreHist.Quantile(0.50),
+		CloneP50Ms:     cloneHist.Quantile(0.50),
+		ResetP50Ms:     resetHist.Quantile(0.50),
+		TemplateBuilds: reg.Counter("replay.template_builds").Value(),
+		WarmRuns:       reg.Counter("replay.warm_runs").Value(),
+		Generations:    gens,
+	})
 	fmt.Printf("search sweep (workers × warm):\n")
 	for _, r := range rows {
 		fmt.Printf("  workers=%-2d warm=%-5v %8.0f ms  %6.1f evals/sec\n", r.Workers, r.Warm, r.Ms, r.EvalsPerSec)
@@ -1274,7 +1183,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 // store — the §3.2 storage budget next to Fig. 11 — plus save/load/
 // materialize latency and the corruption-recovery rate of the record
 // format. Results land in BENCH_store.json (schema checked by
-// `storelint -validate-bench`).
+// `audit check bench`).
 func BenchmarkSnapshotStore(b *testing.B) {
 	const captures = 4
 	store, err := benchCaptureStore(captures)
@@ -1394,32 +1303,23 @@ func BenchmarkSnapshotStore(b *testing.B) {
 	b.ReportMetric(st.DedupRatio(), "dedup-x")
 	b.ReportMetric(recoveryRate, "recovery-rate")
 
-	artifact, err := json.MarshalIndent(map[string]any{
-		"schema_version":      1,
-		"benchmark":           "SnapshotStore",
-		"captures":            captures,
-		"raw_page_bytes":      rawBytes,
-		"legacy_bytes":        legacyBytes,
-		"castore_bytes":       casBytes,
-		"dedup_ratio":         st.DedupRatio(),
-		"chunks_unique":       st.ChunksWritten,
-		"chunks_reused":       st.ChunksReused,
-		"save_ms":             saveMs,
-		"load_ms":             loadMs,
-		"materialize_ms":      matMs,
-		"corruption_trials":   trials,
-		"recovery_rate":       recoveryRate,
-		"torn_tail_recovered": tornRecovered,
-	}, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := castore.ValidateBenchJSON(artifact); err != nil {
-		b.Fatalf("emitted artifact fails own schema: %v", err)
-	}
-	if err := os.WriteFile("BENCH_store.json", append(artifact, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeArtifact(b, "BENCH_store.json", &castore.Bench{
+		SchemaVersion:     castore.BenchSchemaVersion,
+		Benchmark:         "SnapshotStore",
+		Captures:          captures,
+		RawPageBytes:      rawBytes,
+		LegacyBytes:       legacyBytes,
+		CastoreBytes:      casBytes,
+		DedupRatio:        st.DedupRatio(),
+		ChunksUnique:      st.ChunksWritten,
+		ChunksReused:      st.ChunksReused,
+		SaveMs:            saveMs,
+		LoadMs:            loadMs,
+		MaterializeMs:     matMs,
+		CorruptionTrials:  trials,
+		RecoveryRate:      recoveryRate,
+		TornTailRecovered: tornRecovered,
+	})
 	fmt.Printf("snapshot store: %d captures, raw %.2f MB; legacy %.2f MB -> castore %.2f MB (%.2fx dedup); save %.1f ms, load %.1f ms, materialize %.1f ms; corruption recovery %d/%d, torn tail recovered: %v\n",
 		captures, float64(rawBytes)/(1<<20), float64(legacyBytes)/(1<<20), float64(casBytes)/(1<<20),
 		st.DedupRatio(), saveMs, loadMs, matMs, recovered, trials, tornRecovered)

@@ -3,7 +3,7 @@
 // saturation curve), wait for the coordinator's searches, then fetch their
 // artifacts — measuring uploads/sec, the fleet-scale dedup factor, cache
 // hit ratio, and searches/hour. Results land in BENCH_fleet.json
-// (schema-checked by benchlint; see EXPERIMENTS.md for how to read the
+// (checked by `audit check bench`; see EXPERIMENTS.md for how to read the
 // sweep's saturation knee).
 //
 // Usage:

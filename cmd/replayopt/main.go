@@ -23,7 +23,7 @@
 //
 // -store persists the capture store to the given file after the run (the
 // content-addressed, deduplicated format of DESIGN.md §10; inspect it with
-// storelint). If the file already holds captures from earlier runs, only
+// `audit store`). If the file already holds captures from earlier runs, only
 // unseen pages are appended and the earlier captures stay live alongside
 // this run's.
 //

@@ -30,7 +30,7 @@
 // -static is set — dynamically, recompiling the app's region to detect
 // decisions that no longer fire and image drift. Exit 1 on any drift.
 //
-// -validate runs the structural validator shared with cmd/tracelint over
+// -validate runs the structural validator shared with `audit trace` over
 // each file and prints record counts. -json switches every subcommand's
 // output to machine-readable JSON.
 package main
@@ -56,7 +56,7 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
-	validate := flag.Bool("validate", false, "validate trace files structurally (shared validator with cmd/tracelint)")
+	validate := flag.Bool("validate", false, "validate trace files structurally (shared validator with audit trace)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()

@@ -1,7 +1,7 @@
 package apps
 
 // WitnessSpec returns the diagnostic application used by the effect-analysis
-// witness tests and as the replaylint walkthrough example. It is deliberately
+// witness tests and as the `audit effects` walkthrough example. It is deliberately
 // NOT part of All() — Table 1 has exactly 21 applications — but Build accepts
 // it like any other spec.
 //

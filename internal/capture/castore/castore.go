@@ -8,7 +8,7 @@
 // manifest costs only the snapshots that reference it, and a torn final
 // record (a crash mid-save) truncates cleanly back to the last committed
 // index. DESIGN.md §10 specifies the on-disk format and the recovery
-// rules; cmd/storelint verifies, repairs, and reports on store files.
+// rules; `audit store` verifies, repairs, and reports on store files.
 package castore
 
 import (

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -193,6 +194,30 @@ func TestReportAndValidate(t *testing.T) {
 	} {
 		if err := ValidateReportJSON([]byte(bad)); err == nil {
 			t.Errorf("validator accepted %s", bad)
+		}
+	}
+	for _, c := range []struct {
+		name, wantErr string
+		mutate        func(doc map[string]any)
+	}{
+		{"fractional schema version", "schema_version", func(doc map[string]any) { doc["schema_version"] = 1.5 }},
+		{"negative count", "damaged_records", func(doc map[string]any) { doc["damaged_records"] = -1 }},
+		{"fractional count", "snapshots[0].pages", func(doc map[string]any) {
+			doc["snapshots"].([]any)[0].(map[string]any)["pages"] = 2.5
+		}},
+		{"unknown key", "healthy", func(doc map[string]any) { doc["healthy"] = true }},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		c.mutate(doc)
+		bad, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateReportJSON(bad); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error %v does not mention %q", c.name, err, c.wantErr)
 		}
 	}
 }

@@ -1,19 +1,19 @@
 package castore
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
 	"replayopt/internal/obs"
+	"replayopt/internal/schema"
 )
 
-// ReportSchemaVersion versions the storelint JSON report.
+// ReportSchemaVersion versions the `audit store` JSON report.
 const ReportSchemaVersion = 1
 
-// SnapshotReport is one snapshot row of the storelint report.
+// SnapshotReport is one snapshot row of the `audit store` report.
 type SnapshotReport struct {
-	Digest        string  `json:"digest"`
+	Digest        string  `json:"digest" schema:"nonempty"`
 	App           string  `json:"app"`
 	Pages         int     `json:"pages"`
 	RawMB         float64 `json:"raw_mb"`
@@ -21,11 +21,11 @@ type SnapshotReport struct {
 	MissingChunks int     `json:"missing_chunks"`
 }
 
-// Report is the machine-readable output of cmd/storelint, schema-validated
-// in CI like the replaylint and tvlint reports.
+// Report is the `audit store` document, checked through the shared strict
+// decoder like every other audit report.
 type Report struct {
 	SchemaVersion int    `json:"schema_version"`
-	Path          string `json:"path"`
+	Path          string `json:"path" schema:"nonempty"`
 	FileBytes     int64  `json:"file_bytes"`
 
 	Records   int `json:"records"`
@@ -54,7 +54,7 @@ func (r *Report) Healthy() bool {
 	return r.Damaged == 0 && r.TruncatedTailBytes == 0 && !r.NoIndex && r.SkippedSnapshots == 0
 }
 
-// BuildReport assembles the storelint report for a scanned file. appOf, when
+// BuildReport assembles the `audit store` report for a scanned file. appOf, when
 // non-nil, labels each snapshot from its opaque metadata (the capture layer
 // knows how to decode it; castore does not).
 func BuildReport(f *File, appOf func(meta []byte) string) *Report {
@@ -111,72 +111,27 @@ func BuildReport(f *File, appOf func(meta []byte) string) *Report {
 	return rep
 }
 
-// ValidateReportJSON structurally validates a JSON-encoded Report: required
-// keys, their types, and internally consistent counts. It is what CI's
-// storelint -validate runs.
-func ValidateReportJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("storelint report: not JSON: %w", err)
-	}
-	num := func(key string) (float64, error) {
-		v, ok := raw[key].(float64)
-		if !ok {
-			return 0, fmt.Errorf("storelint report: %q missing or not a number", key)
-		}
-		return v, nil
-	}
-	ver, err := num("schema_version")
-	if err != nil {
-		return err
-	}
-	if int(ver) != ReportSchemaVersion {
-		return fmt.Errorf("storelint report: schema_version %v, want %d", ver, ReportSchemaVersion)
-	}
-	if s, ok := raw["path"].(string); !ok || s == "" {
-		return fmt.Errorf("storelint report: %q missing or empty", "path")
-	}
-	for _, key := range []string{"file_bytes", "records", "chunks", "manifests", "indexes",
-		"damaged_records", "truncated_tail_bytes", "skipped_snapshots",
-		"referenced_raw_bytes", "unique_raw_bytes", "stored_chunk_bytes", "dedup_ratio"} {
-		if _, err := num(key); err != nil {
-			return err
-		}
-	}
-	if _, ok := raw["no_index"].(bool); !ok {
-		return fmt.Errorf("storelint report: %q missing or not a bool", "no_index")
-	}
-	snaps, ok := raw["snapshots"].([]any)
-	if !ok {
-		return fmt.Errorf("storelint report: %q missing or not an array", "snapshots")
+// Check holds the report's cross-field invariant: every incomplete snapshot
+// is counted in skipped_snapshots.
+func (r *Report) Check() error {
+	if r.SchemaVersion != ReportSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", r.SchemaVersion, ReportSchemaVersion)
 	}
 	incomplete := 0
-	for i, s := range snaps {
-		obj, ok := s.(map[string]any)
-		if !ok {
-			return fmt.Errorf("storelint report: snapshots[%d] not an object", i)
-		}
-		if d, ok := obj["digest"].(string); !ok || d == "" {
-			return fmt.Errorf("storelint report: snapshots[%d].digest missing or empty", i)
-		}
-		for _, key := range []string{"pages", "raw_mb", "missing_chunks"} {
-			if _, ok := obj[key].(float64); !ok {
-				return fmt.Errorf("storelint report: snapshots[%d].%s missing or not a number", i, key)
-			}
-		}
-		c, ok := obj["complete"].(bool)
-		if !ok {
-			return fmt.Errorf("storelint report: snapshots[%d].complete missing or not a bool", i)
-		}
-		if !c {
+	for _, sn := range r.Snapshots {
+		if !sn.Complete {
 			incomplete++
 		}
 	}
-	skipped, _ := num("skipped_snapshots")
-	if incomplete > int(skipped) {
-		return fmt.Errorf("storelint report: %d incomplete snapshots but skipped_snapshots=%d", incomplete, int(skipped))
+	if incomplete > r.SkippedSnapshots {
+		return fmt.Errorf("%d incomplete snapshots but skipped_snapshots=%d", incomplete, r.SkippedSnapshots)
 	}
 	return nil
+}
+
+// ValidateReportJSON strictly decodes a JSON-encoded Report and checks it.
+func ValidateReportJSON(data []byte) error {
+	return schema.Decode(data, new(Report))
 }
 
 // RepairStats summarizes one repair pass.
@@ -297,46 +252,44 @@ func Repair(path string, sc *obs.Scope) (rs RepairStats, err error) {
 // BenchSchemaVersion versions the BENCH_store.json artifact.
 const BenchSchemaVersion = 1
 
-// ValidateBenchJSON structurally validates the BENCH_store.json artifact
-// emitted by BenchmarkSnapshotStore (CI's bench-schema check).
-func ValidateBenchJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("BENCH_store.json: not JSON: %w", err)
+// Bench is the BENCH_store.json document written by BenchmarkSnapshotStore:
+// the content-addressed store against the legacy blob on a multi-capture
+// store, its latencies, and its corruption-recovery rate.
+type Bench struct {
+	SchemaVersion     int     `json:"schema_version"`
+	Benchmark         string  `json:"benchmark"`
+	Captures          int     `json:"captures"`
+	RawPageBytes      int64   `json:"raw_page_bytes"`
+	LegacyBytes       int64   `json:"legacy_bytes"`
+	CastoreBytes      int64   `json:"castore_bytes"`
+	DedupRatio        float64 `json:"dedup_ratio"`
+	ChunksUnique      int     `json:"chunks_unique"`
+	ChunksReused      int     `json:"chunks_reused"`
+	SaveMs            float64 `json:"save_ms"`
+	LoadMs            float64 `json:"load_ms"`
+	MaterializeMs     float64 `json:"materialize_ms"`
+	CorruptionTrials  int     `json:"corruption_trials"`
+	RecoveryRate      float64 `json:"recovery_rate"`
+	TornTailRecovered bool    `json:"torn_tail_recovered"`
+}
+
+// Check holds the artifact's invariants: a recovery rate in [0,1] and a
+// non-empty castore file smaller than the legacy blob.
+func (b *Bench) Check() error {
+	if b.SchemaVersion != BenchSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", b.SchemaVersion, BenchSchemaVersion)
 	}
-	if v, ok := raw["schema_version"].(float64); !ok || int(v) != BenchSchemaVersion {
-		return fmt.Errorf("BENCH_store.json: schema_version missing or != %d", BenchSchemaVersion)
+	if b.Benchmark != "SnapshotStore" {
+		return fmt.Errorf("benchmark %q, want SnapshotStore", b.Benchmark)
 	}
-	if s, ok := raw["benchmark"].(string); !ok || s != "SnapshotStore" {
-		return fmt.Errorf("BENCH_store.json: benchmark missing or not %q", "SnapshotStore")
+	if b.RecoveryRate < 0 || b.RecoveryRate > 1 {
+		return fmt.Errorf("recovery_rate %v outside [0,1]", b.RecoveryRate)
 	}
-	num := func(key string) (float64, error) {
-		v, ok := raw[key].(float64)
-		if !ok {
-			return 0, fmt.Errorf("BENCH_store.json: %q missing or not a number", key)
-		}
-		return v, nil
+	if b.CastoreBytes <= 0 {
+		return fmt.Errorf("castore_bytes %v not positive", b.CastoreBytes)
 	}
-	for _, key := range []string{"captures", "raw_page_bytes", "legacy_bytes", "castore_bytes",
-		"dedup_ratio", "chunks_unique", "chunks_reused", "save_ms", "load_ms", "materialize_ms",
-		"corruption_trials", "recovery_rate"} {
-		if _, err := num(key); err != nil {
-			return err
-		}
-	}
-	if v, _ := num("recovery_rate"); v < 0 || v > 1 {
-		return fmt.Errorf("BENCH_store.json: recovery_rate %v outside [0,1]", v)
-	}
-	if v, _ := num("castore_bytes"); v <= 0 {
-		return fmt.Errorf("BENCH_store.json: castore_bytes %v not positive", v)
-	}
-	legacy, _ := num("legacy_bytes")
-	cas, _ := num("castore_bytes")
-	if legacy > 0 && cas >= legacy {
-		return fmt.Errorf("BENCH_store.json: castore store (%v B) not smaller than the legacy blob (%v B)", cas, legacy)
-	}
-	if _, ok := raw["torn_tail_recovered"].(bool); !ok {
-		return fmt.Errorf("BENCH_store.json: %q missing or not a bool", "torn_tail_recovered")
+	if b.LegacyBytes > 0 && b.CastoreBytes >= b.LegacyBytes {
+		return fmt.Errorf("castore store (%v B) not smaller than the legacy blob (%v B)", b.CastoreBytes, b.LegacyBytes)
 	}
 	return nil
 }

@@ -195,7 +195,7 @@ func encodeMeta(sn *Snapshot) ([]byte, error) {
 }
 
 // DecodeSnapshotMeta decodes a castore manifest's opaque metadata
-// (cmd/storelint uses it to label snapshots).
+// (`audit store` uses it to label snapshots).
 func DecodeSnapshotMeta(meta []byte) (*SnapshotMeta, error) {
 	var m SnapshotMeta
 	if err := gob.NewDecoder(bytes.NewReader(meta)).Decode(&m); err != nil {

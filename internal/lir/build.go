@@ -8,6 +8,22 @@ import (
 	"replayopt/internal/hgraph"
 )
 
+// BuildAllSSA builds SSA once per analyzable method of prog, indexed by
+// method id. Uncompilable methods and frontend failures yield nil, which the
+// interprocedural analyses treat as unknown bodies.
+func BuildAllSSA(prog *dex.Program) []*Function {
+	fns := make([]*Function, len(prog.Methods))
+	for i := range prog.Methods {
+		if prog.Methods[i].Uncompilable {
+			continue
+		}
+		if f, err := BuildSSA(prog, dex.MethodID(i)); err == nil {
+			fns[i] = f
+		}
+	}
+	return fns
+}
+
 // BuildSSA translates a method's HGraph into SSA form — the HGraph-to-LLVM-
 // bitcode pass of §3.5. The translation inserts the runtime scaffolding the
 // paper describes: explicit bounds checks before array accesses, and GC

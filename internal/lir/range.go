@@ -445,7 +445,7 @@ func (ra *RangeFacts) sameArray(fa, arr *Value, at *Block) bool {
 // index nonnegative and strictly below the array length, either against a
 // constant allocation size or through a dominating symbolic fact. The
 // returned string is the proving fact, phrased for rtrace notes and
-// rangelint witnesses.
+// `audit ranges` witnesses.
 func (ra *RangeFacts) ProvenInBounds(check *Value) (string, bool) {
 	if !ra.converged || check.Op != OpBoundsCheck || check.Block == nil {
 		return "", false

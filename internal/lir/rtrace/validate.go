@@ -1,7 +1,7 @@
 package rtrace
 
 // Shared trace-artifact validator, used by both `cmd/rtrace -validate` and
-// cmd/tracelint so the two tools can never disagree about what a well-formed
+// `audit trace` so the two tools can never disagree about what a well-formed
 // trace file is. The checks are structural — JSON validity, known kinds,
 // schema version, hash syntax, seq monotonicity, header-before-entries,
 // trailer consistency — not semantic (replay does the semantic check).

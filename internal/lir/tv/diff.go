@@ -28,9 +28,9 @@ type DiffOptions struct {
 // DiffFailure is one pass defect found by the fuzzer, shrunk to a minimal
 // reproducing source.
 type DiffFailure struct {
-	Pass   string `json:"pass"`
+	Pass   string `json:"pass" schema:"nonempty"`
 	Seed   int64  `json:"seed"`
-	Kind   string `json:"kind"` // verifier | rejected | wrong-output | runtime-crash
+	Kind   string `json:"kind" schema:"nonempty"` // verifier | rejected | wrong-output | runtime-crash
 	Detail string `json:"detail"`
 	Source string `json:"source"` // shrunk reproducer
 }

@@ -1,18 +1,18 @@
 package tv
 
-// Machine-readable reporting for cmd/tvlint, with a hand-rolled structural
-// validator (the internal/sa/report.go pattern) so CI can assert the schema
-// without a JSON-Schema dependency.
+// Machine-readable reporting for `audit tv`, checked through the shared
+// strict decoder (internal/schema).
 
 import (
-	"encoding/json"
 	"fmt"
+
+	"replayopt/internal/schema"
 )
 
 // ReportSchemaVersion is bumped whenever the JSON layout changes shape.
 const ReportSchemaVersion = 1
 
-// Report is the tvlint output.
+// Report is the `audit tv` document.
 type Report struct {
 	SchemaVersion int            `json:"schema_version"`
 	Presets       []PresetReport `json:"presets"`
@@ -22,8 +22,8 @@ type Report struct {
 // PresetReport is one (app, preset) audit: every per-pass verdict plus the
 // tallies.
 type PresetReport struct {
-	App        string       `json:"app"`
-	Preset     string       `json:"preset"`
+	App        string       `json:"app" schema:"nonempty"`
+	Preset     string       `json:"preset" schema:"nonempty"`
 	Verdicts   []VerdictRow `json:"verdicts"`
 	Verified   int          `json:"verified"`
 	Unverified int          `json:"unverified"`
@@ -32,8 +32,8 @@ type PresetReport struct {
 
 // VerdictRow is one pass application on one function.
 type VerdictRow struct {
-	Fn      string `json:"fn"`
-	Pass    string `json:"pass"`
+	Fn      string `json:"fn" schema:"nonempty"`
+	Pass    string `json:"pass" schema:"nonempty"`
 	Verdict string `json:"verdict"`
 	Reason  string `json:"reason,omitempty"`
 }
@@ -50,84 +50,35 @@ func PresetFromChecker(app, preset string, c *Checker) PresetReport {
 	return pr
 }
 
-// ValidateReportJSON structurally validates a JSON-encoded Report: required
-// keys, their types, legal verdict strings, and tallies that reconcile with
-// the rows. It is what CI's tvlint -validate runs.
-func ValidateReportJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("tvlint report: not JSON: %w", err)
+// Check holds the report's cross-field invariants: every verdict string is
+// legal and each preset's tallies reconcile with its rows.
+func (r *Report) Check() error {
+	if r.SchemaVersion != ReportSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", r.SchemaVersion, ReportSchemaVersion)
 	}
-	ver, ok := raw["schema_version"].(float64)
-	if !ok {
-		return fmt.Errorf("tvlint report: %q missing or not a number", "schema_version")
-	}
-	if int(ver) != ReportSchemaVersion {
-		return fmt.Errorf("tvlint report: schema_version %v, want %d", ver, ReportSchemaVersion)
-	}
-	presets, ok := raw["presets"].([]any)
-	if !ok {
-		return fmt.Errorf("tvlint report: %q missing or not an array", "presets")
-	}
-	legal := map[string]bool{"verified": true, "unverified": true, "rejected": true}
-	for i, p := range presets {
-		obj, ok := p.(map[string]any)
-		if !ok {
-			return fmt.Errorf("tvlint report: presets[%d] not an object", i)
-		}
-		for _, key := range []string{"app", "preset"} {
-			if s, ok := obj[key].(string); !ok || s == "" {
-				return fmt.Errorf("tvlint report: presets[%d].%s missing or empty", i, key)
-			}
-		}
-		rows, ok := obj["verdicts"].([]any)
-		if !ok {
-			return fmt.Errorf("tvlint report: presets[%d].verdicts missing or not an array", i)
-		}
+	for i, pr := range r.Presets {
 		counts := map[string]int{}
-		for j, r := range rows {
-			row, ok := r.(map[string]any)
-			if !ok {
-				return fmt.Errorf("tvlint report: presets[%d].verdicts[%d] not an object", i, j)
+		for j, row := range pr.Verdicts {
+			switch row.Verdict {
+			case "verified", "unverified", "rejected":
+				counts[row.Verdict]++
+			default:
+				return fmt.Errorf("presets[%d].verdicts[%d] has unknown verdict %q", i, j, row.Verdict)
 			}
-			for _, key := range []string{"fn", "pass", "verdict"} {
-				if s, ok := row[key].(string); !ok || s == "" {
-					return fmt.Errorf("tvlint report: presets[%d].verdicts[%d].%s missing or empty", i, j, key)
-				}
-			}
-			v := row["verdict"].(string)
-			if !legal[v] {
-				return fmt.Errorf("tvlint report: presets[%d].verdicts[%d] has unknown verdict %q", i, j, v)
-			}
-			counts[v]++
 		}
 		for _, c := range []struct {
-			key  string
-			want int
-		}{{"verified", counts["verified"]}, {"unverified", counts["unverified"]}, {"rejected", counts["rejected"]}} {
-			got, ok := obj[c.key].(float64)
-			if !ok {
-				return fmt.Errorf("tvlint report: presets[%d].%s missing or not a number", i, c.key)
-			}
-			if int(got) != c.want {
-				return fmt.Errorf("tvlint report: presets[%d].%s = %d, rows say %d", i, c.key, int(got), c.want)
-			}
-		}
-	}
-	fuzz, ok := raw["fuzz"].([]any)
-	if !ok && raw["fuzz"] != nil {
-		return fmt.Errorf("tvlint report: %q not an array", "fuzz")
-	}
-	for i, f := range fuzz {
-		obj, ok := f.(map[string]any)
-		if !ok {
-			return fmt.Errorf("tvlint report: fuzz[%d] not an object", i)
-		}
-		for _, key := range []string{"pass", "kind"} {
-			if s, ok := obj[key].(string); !ok || s == "" {
-				return fmt.Errorf("tvlint report: fuzz[%d].%s missing or empty", i, key)
+			key string
+			got int
+		}{{"verified", pr.Verified}, {"unverified", pr.Unverified}, {"rejected", pr.Rejected}} {
+			if c.got != counts[c.key] {
+				return fmt.Errorf("presets[%d].%s = %d, rows say %d", i, c.key, c.got, counts[c.key])
 			}
 		}
 	}
 	return nil
+}
+
+// ValidateReportJSON strictly decodes a JSON-encoded Report and checks it.
+func ValidateReportJSON(data []byte) error {
+	return schema.Decode(data, new(Report))
 }

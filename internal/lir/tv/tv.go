@@ -64,7 +64,7 @@ type PassVerdict struct {
 // Options configure a Checker.
 type Options struct {
 	// Reject makes a Rejected verdict abort the compile with a RejectError.
-	// Off, the checker only records verdicts (cmd/tvlint's audit mode).
+	// Off, the checker only records verdicts (`audit tv`).
 	Reject bool
 	// Strict additionally runs VerifyStrict after every pass; a violation is
 	// a Rejected verdict attributed to that pass.

@@ -392,4 +392,30 @@ func TestReportValidates(t *testing.T) {
 			t.Fatal("illegal verdict string accepted")
 		}
 	}
+	firstPreset := func(doc map[string]any) map[string]any {
+		return doc["presets"].([]any)[0].(map[string]any)
+	}
+	for _, c := range []struct {
+		name, wantErr string
+		mutate        func(doc map[string]any)
+	}{
+		{"fractional schema version", "schema_version", func(doc map[string]any) { doc["schema_version"] = 1.5 }},
+		{"fractional count", "presets[0].verified", func(doc map[string]any) {
+			firstPreset(doc)["verified"] = firstPreset(doc)["verified"].(float64) + 0.5
+		}},
+		{"unknown key", "presets[0].tally", func(doc map[string]any) { firstPreset(doc)["tally"] = 1 }},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		c.mutate(doc)
+		bad, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateReportJSON(bad); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error %v does not mention %q", c.name, err, c.wantErr)
+		}
+	}
 }

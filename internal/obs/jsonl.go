@@ -1,5 +1,5 @@
 // JSONL trace sink: one JSON object per finished span, in end order, plus
-// the reader half used by tests and cmd/tracelint to validate traces.
+// the reader half used by tests and `audit trace` to validate traces.
 
 package obs
 

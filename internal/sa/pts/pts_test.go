@@ -219,7 +219,7 @@ func TestScratchAppVerdicts(t *testing.T) {
 }
 
 // TestReportSchema round-trips a report through JSON and the structural
-// validator (the aliaslint -json -validate path), then corrupts it in each
+// validator (the `audit alias -json` path), then corrupts it in each
 // way the schema forbids.
 func TestReportSchema(t *testing.T) {
 	app, err := apps.Build(apps.ScratchSpec())
@@ -283,4 +283,13 @@ func TestReportSchema(t *testing.T) {
 	corrupt("negative count", func(doc map[string]any) {
 		firstMethod(doc)["sites"] = -1.0
 	}, "nonnegative")
+	corrupt("fractional schema version", func(doc map[string]any) {
+		doc["schema_version"] = 1.5
+	}, "schema_version")
+	corrupt("fractional count", func(doc map[string]any) {
+		doc["totals"].(map[string]any)["sites"] = 0.5
+	}, "totals.sites")
+	corrupt("unknown key", func(doc map[string]any) {
+		doc["aliases"] = []any{}
+	}, "aliases")
 }

@@ -1,15 +1,15 @@
 package pts
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"replayopt/internal/dex"
 	"replayopt/internal/lir"
 	"replayopt/internal/sa"
+	"replayopt/internal/schema"
 )
 
-// ReportSchemaVersion identifies the aliaslint JSON layout. Bump on any
+// ReportSchemaVersion identifies the `audit alias` JSON layout. Bump on any
 // incompatible change.
 const ReportSchemaVersion = 1
 
@@ -17,7 +17,7 @@ const ReportSchemaVersion = 1
 // the counts always cover every pair.
 const maxWitnesses = 12
 
-// Report is the aliaslint audit of one app: per method, how many same-kind
+// Report is the `audit alias` document for one app: per method, how many same-kind
 // access pairs — the pairs the alias-blind memory passes must assume conflict
 // — the points-to analysis proves apart, plus allocation-site escape
 // verdicts, with a witness obligation for every hot-region pair it cannot
@@ -193,89 +193,45 @@ func witnessExpr(a, b *lir.Value) string {
 	return fmt.Sprintf("v%d (%s) ~ v%d (%s): %s", a.ID, role(a), b.ID, role(b), reason)
 }
 
-// ValidateReportJSON checks that data is a structurally valid aliaslint
-// report: schema version, required keys with the right JSON types, and the
-// cross-field invariants (totals reconcile with the rows, proven counts never
-// exceed pair counts). Mirrors vra.ValidateReportJSON for rangelint.
-func ValidateReportJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("aliaslint report: %w", err)
+// Check holds the report's cross-field invariants: no row proves more than
+// it has, and the totals reconcile with the rows.
+func (r *Report) Check() error {
+	if r.SchemaVersion != ReportSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", r.SchemaVersion, ReportSchemaVersion)
 	}
-	num := func(m map[string]any, key string) (int, error) {
-		v, ok := m[key]
-		if !ok {
-			return 0, fmt.Errorf("aliaslint report: missing %q", key)
+	var sum Totals
+	for i, m := range r.Methods {
+		if m.Proven > m.Pairs || m.NonEscaping > m.Sites {
+			return fmt.Errorf("methods[%d] proves more than it has", i)
 		}
-		f, ok := v.(float64)
-		if !ok || f != float64(int(f)) || f < 0 {
-			return 0, fmt.Errorf("aliaslint report: %q is not a nonnegative integer", key)
+		sum.Methods++
+		if m.Hot {
+			sum.HotMethods++
 		}
-		return int(f), nil
+		sum.Pairs += m.Pairs
+		sum.Proven += m.Proven
+		sum.Sites += m.Sites
+		sum.NonEscaping += m.NonEscaping
 	}
-	sv, err := num(raw, "schema_version")
-	if err != nil {
-		return err
-	}
-	if sv != ReportSchemaVersion {
-		return fmt.Errorf("aliaslint report: schema_version %d, want %d", sv, ReportSchemaVersion)
-	}
-	if _, ok := raw["app"].(string); !ok {
-		return fmt.Errorf("aliaslint report: missing or non-string %q", "app")
-	}
-	tot, ok := raw["totals"].(map[string]any)
-	if !ok {
-		return fmt.Errorf("aliaslint report: missing %q object", "totals")
-	}
-	want := map[string]int{}
-	for _, key := range []string{"methods", "hot_methods", "pairs", "proven",
-		"sites", "non_escaping", "bounded_methods"} {
-		n, err := num(tot, key)
-		if err != nil {
-			return err
-		}
-		want[key] = n
-	}
-	methods, ok := raw["methods"].([]any)
-	if !ok && raw["methods"] != nil {
-		return fmt.Errorf("aliaslint report: %q is not an array", "methods")
-	}
-	got := map[string]int{}
-	for i, el := range methods {
-		m, ok := el.(map[string]any)
-		if !ok {
-			return fmt.Errorf("aliaslint report: methods[%d] is not an object", i)
-		}
-		if _, ok := m["method"].(string); !ok {
-			return fmt.Errorf("aliaslint report: methods[%d] missing %q", i, "method")
-		}
-		hot, ok := m["hot"].(bool)
-		if !ok {
-			return fmt.Errorf("aliaslint report: methods[%d] missing boolean %q", i, "hot")
-		}
-		row := map[string]int{}
-		for _, key := range []string{"pairs", "proven", "sites", "non_escaping"} {
-			n, err := num(m, key)
-			if err != nil {
-				return fmt.Errorf("methods[%d]: %w", i, err)
-			}
-			row[key] = n
-		}
-		if row["proven"] > row["pairs"] || row["non_escaping"] > row["sites"] {
-			return fmt.Errorf("aliaslint report: methods[%d] proves more than it has", i)
-		}
-		got["methods"]++
-		if hot {
-			got["hot_methods"]++
-		}
-		for _, key := range []string{"pairs", "proven", "sites", "non_escaping"} {
-			got[key] += row[key]
-		}
-	}
-	for _, key := range []string{"methods", "hot_methods", "pairs", "proven", "sites", "non_escaping"} {
-		if got[key] != want[key] {
-			return fmt.Errorf("aliaslint report: totals.%s = %d but rows sum to %d", key, want[key], got[key])
+	for _, c := range []struct {
+		key       string
+		got, want int
+	}{
+		{"methods", r.Totals.Methods, sum.Methods},
+		{"hot_methods", r.Totals.HotMethods, sum.HotMethods},
+		{"pairs", r.Totals.Pairs, sum.Pairs},
+		{"proven", r.Totals.Proven, sum.Proven},
+		{"sites", r.Totals.Sites, sum.Sites},
+		{"non_escaping", r.Totals.NonEscaping, sum.NonEscaping},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("totals.%s = %d but rows sum to %d", c.key, c.got, c.want)
 		}
 	}
 	return nil
+}
+
+// ValidateReportJSON strictly decodes a JSON-encoded Report and checks it.
+func ValidateReportJSON(data []byte) error {
+	return schema.Decode(data, new(Report))
 }

@@ -1,24 +1,23 @@
 package sa
 
-// Machine-readable reporting for cmd/replaylint: per-method verdict rows,
+// Machine-readable reporting for `audit effects`: per-method verdict rows,
 // coverage totals, and witness chains for every reachable non-replayable
-// method, plus a hand-rolled structural validator for the JSON encoding so
-// CI can assert the schema without a JSON-Schema dependency.
+// method, checked through the shared strict decoder (internal/schema).
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"replayopt/internal/dex"
+	"replayopt/internal/schema"
 )
 
 // ReportSchemaVersion is bumped whenever the JSON layout changes shape.
 const ReportSchemaVersion = 1
 
-// Report is the replaylint output for one program.
+// Report is the `audit effects` document for one program.
 type Report struct {
 	SchemaVersion int             `json:"schema_version"`
-	App           string          `json:"app"`
+	App           string          `json:"app" schema:"nonempty"`
 	Methods       []MethodReport  `json:"methods"`
 	Coverage      Coverage        `json:"coverage"`
 	Witnesses     []WitnessReport `json:"witnesses"`
@@ -26,12 +25,12 @@ type Report struct {
 
 // MethodReport is one per-method verdict row.
 type MethodReport struct {
-	Name string `json:"name"`
+	Name string `json:"name" schema:"nonempty"`
 	// Effect is the interprocedural summary, Local the method's own
 	// instructions only.
-	Effect     string   `json:"effect"`
-	Local      string   `json:"local_effect"`
-	Class      string   `json:"class"`
+	Effect     string   `json:"effect" schema:"nonempty"`
+	Local      string   `json:"local_effect" schema:"nonempty"`
+	Class      string   `json:"class" schema:"nonempty"`
 	Hazards    []string `json:"hazards"`
 	Replayable bool     `json:"replayable"`
 	// Reachable under the RTA call graph from the program entry.
@@ -50,13 +49,13 @@ type Coverage struct {
 // WitnessReport explains one hazard of one reachable method: the shortest
 // call chain to the instruction-level source.
 type WitnessReport struct {
-	Method string   `json:"method"`
-	Hazard string   `json:"hazard"`
+	Method string   `json:"method" schema:"nonempty"`
+	Hazard string   `json:"hazard" schema:"nonempty"`
 	Chain  []string `json:"chain"`
 	Cause  string   `json:"cause"`
 }
 
-// Report builds the replaylint report from an analysis result.
+// Report builds the `audit effects` report from an analysis result.
 func (r *Result) Report(app string) *Report {
 	rep := &Report{SchemaVersion: ReportSchemaVersion, App: app}
 	name := func(id dex.MethodID) string { return r.Prog.Methods[id].Name }
@@ -116,125 +115,53 @@ func (r *Result) witnessEnd(id dex.MethodID, hazard Effect) dex.MethodID {
 	return chain[len(chain)-1]
 }
 
-// ValidateReportJSON structurally validates a JSON-encoded Report: required
-// keys, their types, and the cross-field invariants the schema promises
-// (coverage totals reconcile with the rows; every witness chain starts at its
-// method and is non-empty). It is what CI's replaylint -validate runs.
-func ValidateReportJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("replaylint report: not JSON: %w", err)
-	}
-	num := func(key string) (float64, error) {
-		v, ok := raw[key].(float64)
-		if !ok {
-			return 0, fmt.Errorf("replaylint report: %q missing or not a number", key)
-		}
-		return v, nil
-	}
-	ver, err := num("schema_version")
-	if err != nil {
-		return err
-	}
-	if int(ver) != ReportSchemaVersion {
-		return fmt.Errorf("replaylint report: schema_version %v, want %d", ver, ReportSchemaVersion)
-	}
-	if s, ok := raw["app"].(string); !ok || s == "" {
-		return fmt.Errorf("replaylint report: %q missing or empty", "app")
-	}
-
-	methods, ok := raw["methods"].([]any)
-	if !ok {
-		return fmt.Errorf("replaylint report: %q missing or not an array", "methods")
+// Check holds the report's cross-field invariants: coverage totals reconcile
+// with the rows, a replayable method lists no hazards, and every witness
+// chain is non-empty and starts at its method.
+func (r *Report) Check() error {
+	if r.SchemaVersion != ReportSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", r.SchemaVersion, ReportSchemaVersion)
 	}
 	replayable, reachable, reachRep := 0, 0, 0
-	for i, m := range methods {
-		obj, ok := m.(map[string]any)
-		if !ok {
-			return fmt.Errorf("replaylint report: methods[%d] not an object", i)
+	for i, m := range r.Methods {
+		if m.Replayable && len(m.Hazards) > 0 {
+			return fmt.Errorf("methods[%d]: replayable yet lists hazards", i)
 		}
-		for _, key := range []string{"name", "effect", "local_effect", "class"} {
-			if s, ok := obj[key].(string); !ok || s == "" {
-				return fmt.Errorf("replaylint report: methods[%d].%s missing or empty", i, key)
-			}
-		}
-		if _, ok := obj["hazards"].([]any); !ok {
-			return fmt.Errorf("replaylint report: methods[%d].hazards missing or not an array", i)
-		}
-		rep, ok := obj["replayable"].(bool)
-		if !ok {
-			return fmt.Errorf("replaylint report: methods[%d].replayable missing or not a bool", i)
-		}
-		reach, ok := obj["reachable"].(bool)
-		if !ok {
-			return fmt.Errorf("replaylint report: methods[%d].reachable missing or not a bool", i)
-		}
-		if rep && len(obj["hazards"].([]any)) > 0 {
-			return fmt.Errorf("replaylint report: methods[%d] replayable yet lists hazards", i)
-		}
-		if rep {
+		if m.Replayable {
 			replayable++
 		}
-		if reach {
+		if m.Reachable {
 			reachable++
-			if rep {
+			if m.Replayable {
 				reachRep++
 			}
 		}
 	}
-
-	cov, ok := raw["coverage"].(map[string]any)
-	if !ok {
-		return fmt.Errorf("replaylint report: %q missing or not an object", "coverage")
-	}
-	covInt := func(key string) (int, error) {
-		v, ok := cov[key].(float64)
-		if !ok {
-			return 0, fmt.Errorf("replaylint report: coverage.%s missing or not a number", key)
-		}
-		return int(v), nil
-	}
-	checks := []struct {
-		key  string
-		want int
+	for _, c := range []struct {
+		key       string
+		got, want int
 	}{
-		{"methods", len(methods)},
-		{"replayable", replayable},
-		{"reachable", reachable},
-		{"reachable_replayable", reachRep},
-	}
-	for _, c := range checks {
-		got, err := covInt(c.key)
-		if err != nil {
-			return err
-		}
-		if got != c.want {
-			return fmt.Errorf("replaylint report: coverage.%s = %d, rows say %d", c.key, got, c.want)
+		{"methods", r.Coverage.Methods, len(r.Methods)},
+		{"replayable", r.Coverage.Replayable, replayable},
+		{"reachable", r.Coverage.Reachable, reachable},
+		{"reachable_replayable", r.Coverage.ReachableReplayable, reachRep},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("coverage.%s = %d, rows say %d", c.key, c.got, c.want)
 		}
 	}
-	wits, ok := raw["witnesses"].([]any)
-	if !ok && raw["witnesses"] != nil {
-		return fmt.Errorf("replaylint report: %q not an array", "witnesses")
-	}
-	for i, w := range wits {
-		obj, ok := w.(map[string]any)
-		if !ok {
-			return fmt.Errorf("replaylint report: witnesses[%d] not an object", i)
+	for i, w := range r.Witnesses {
+		if len(w.Chain) == 0 {
+			return fmt.Errorf("witnesses[%d].chain: empty", i)
 		}
-		method, _ := obj["method"].(string)
-		if method == "" {
-			return fmt.Errorf("replaylint report: witnesses[%d].method missing", i)
-		}
-		if s, ok := obj["hazard"].(string); !ok || s == "" {
-			return fmt.Errorf("replaylint report: witnesses[%d].hazard missing", i)
-		}
-		chain, ok := obj["chain"].([]any)
-		if !ok || len(chain) == 0 {
-			return fmt.Errorf("replaylint report: witnesses[%d].chain missing or empty", i)
-		}
-		if first, _ := chain[0].(string); first != method {
-			return fmt.Errorf("replaylint report: witnesses[%d].chain starts at %q, not %q", i, chain[0], method)
+		if w.Chain[0] != w.Method {
+			return fmt.Errorf("witnesses[%d].chain starts at %q, not %q", i, w.Chain[0], w.Method)
 		}
 	}
 	return nil
+}
+
+// ValidateReportJSON strictly decodes a JSON-encoded Report and checks it.
+func ValidateReportJSON(data []byte) error {
+	return schema.Decode(data, new(Report))
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestReportSchema round-trips the witness app's report through JSON and the
-// structural validator — the same check replaylint -json -validate performs —
+// structural validator — the same check `audit effects -json` performs —
 // then corrupts the document in each way the schema forbids and asserts the
 // validator rejects it.
 func TestReportSchema(t *testing.T) {
@@ -81,6 +81,20 @@ func TestReportSchema(t *testing.T) {
 		w := doc["witnesses"].([]any)[0].(map[string]any)
 		w["chain"] = []any{"someoneElse"}
 	}, "chain")
+
+	corrupt("fractional schema version", func(doc map[string]any) {
+		doc["schema_version"] = 1.5
+	}, "schema_version")
+	corrupt("fractional count", func(doc map[string]any) {
+		cov := doc["coverage"].(map[string]any)
+		cov["methods"] = cov["methods"].(float64) + 0.5
+	}, "coverage.methods")
+	corrupt("negative count", func(doc map[string]any) {
+		doc["coverage"].(map[string]any)["reachable"] = -1
+	}, "coverage.reachable")
+	corrupt("unknown key", func(doc map[string]any) {
+		doc["methods"].([]any)[0].(map[string]any)["verdict"] = "ok"
+	}, "methods[0].verdict")
 
 	if sa.ValidateReportJSON([]byte("{not json")) == nil {
 		t.Error("non-JSON accepted")

@@ -1,19 +1,19 @@
 package vra
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"replayopt/internal/dex"
 	"replayopt/internal/lir"
 	"replayopt/internal/sa"
+	"replayopt/internal/schema"
 )
 
-// ReportSchemaVersion identifies the rangelint JSON layout. Bump on any
+// ReportSchemaVersion identifies the `audit ranges` JSON layout. Bump on any
 // incompatible change.
 const ReportSchemaVersion = 1
 
-// Report is the rangelint audit of one app: per method, how many of the
+// Report is the `audit ranges` document for one app: per method, how many of the
 // frontend's bounds checks and divide trap guards the range analysis proves
 // redundant, with a witness expression for every hot-region check it cannot.
 type Report struct {
@@ -130,89 +130,45 @@ func witnessExpr(ra *lir.RangeFacts, b *lir.Block, check *lir.Value) string {
 	return fmt.Sprintf("v%d ∈ %s !< %s", idx.ID, ra.At(b, idx), length)
 }
 
-// ValidateReportJSON checks that data is a structurally valid rangelint
-// report: schema version, required keys with the right JSON types, and the
-// cross-field invariants (totals reconcile with the rows, proven counts never
-// exceed site counts). Mirrors sa.ValidateReportJSON for replaylint.
-func ValidateReportJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("rangelint report: %w", err)
+// Check holds the report's cross-field invariants: no row proves more sites
+// than it has, and the totals reconcile with the rows.
+func (r *Report) Check() error {
+	if r.SchemaVersion != ReportSchemaVersion {
+		return fmt.Errorf("schema_version %d, want %d", r.SchemaVersion, ReportSchemaVersion)
 	}
-	num := func(m map[string]any, key string) (int, error) {
-		v, ok := m[key]
-		if !ok {
-			return 0, fmt.Errorf("rangelint report: missing %q", key)
+	var sum Totals
+	for i, m := range r.Methods {
+		if m.Proven > m.Checks || m.DivProven > m.DivSites {
+			return fmt.Errorf("methods[%d] proves more sites than it has", i)
 		}
-		f, ok := v.(float64)
-		if !ok || f != float64(int(f)) || f < 0 {
-			return 0, fmt.Errorf("rangelint report: %q is not a nonnegative integer", key)
+		sum.Methods++
+		if m.Hot {
+			sum.HotMethods++
 		}
-		return int(f), nil
+		sum.Checks += m.Checks
+		sum.Proven += m.Proven
+		sum.DivSites += m.DivSites
+		sum.DivProven += m.DivProven
 	}
-	sv, err := num(raw, "schema_version")
-	if err != nil {
-		return err
-	}
-	if sv != ReportSchemaVersion {
-		return fmt.Errorf("rangelint report: schema_version %d, want %d", sv, ReportSchemaVersion)
-	}
-	if _, ok := raw["app"].(string); !ok {
-		return fmt.Errorf("rangelint report: missing or non-string %q", "app")
-	}
-	tot, ok := raw["totals"].(map[string]any)
-	if !ok {
-		return fmt.Errorf("rangelint report: missing %q object", "totals")
-	}
-	want := map[string]int{}
-	for _, key := range []string{"methods", "hot_methods", "checks", "proven",
-		"div_sites", "div_proven", "params_narrowed", "rets_narrowed"} {
-		n, err := num(tot, key)
-		if err != nil {
-			return err
-		}
-		want[key] = n
-	}
-	methods, ok := raw["methods"].([]any)
-	if !ok && raw["methods"] != nil {
-		return fmt.Errorf("rangelint report: %q is not an array", "methods")
-	}
-	got := map[string]int{}
-	for i, el := range methods {
-		m, ok := el.(map[string]any)
-		if !ok {
-			return fmt.Errorf("rangelint report: methods[%d] is not an object", i)
-		}
-		if _, ok := m["method"].(string); !ok {
-			return fmt.Errorf("rangelint report: methods[%d] missing %q", i, "method")
-		}
-		hot, ok := m["hot"].(bool)
-		if !ok {
-			return fmt.Errorf("rangelint report: methods[%d] missing boolean %q", i, "hot")
-		}
-		row := map[string]int{}
-		for _, key := range []string{"checks", "proven", "div_sites", "div_proven"} {
-			n, err := num(m, key)
-			if err != nil {
-				return fmt.Errorf("methods[%d]: %w", i, err)
-			}
-			row[key] = n
-		}
-		if row["proven"] > row["checks"] || row["div_proven"] > row["div_sites"] {
-			return fmt.Errorf("rangelint report: methods[%d] proves more sites than it has", i)
-		}
-		got["methods"]++
-		if hot {
-			got["hot_methods"]++
-		}
-		for _, key := range []string{"checks", "proven", "div_sites", "div_proven"} {
-			got[key] += row[key]
-		}
-	}
-	for _, key := range []string{"methods", "hot_methods", "checks", "proven", "div_sites", "div_proven"} {
-		if got[key] != want[key] {
-			return fmt.Errorf("rangelint report: totals.%s = %d but rows sum to %d", key, want[key], got[key])
+	for _, c := range []struct {
+		key       string
+		got, want int
+	}{
+		{"methods", r.Totals.Methods, sum.Methods},
+		{"hot_methods", r.Totals.HotMethods, sum.HotMethods},
+		{"checks", r.Totals.Checks, sum.Checks},
+		{"proven", r.Totals.Proven, sum.Proven},
+		{"div_sites", r.Totals.DivSites, sum.DivSites},
+		{"div_proven", r.Totals.DivProven, sum.DivProven},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("totals.%s = %d but rows sum to %d", c.key, c.got, c.want)
 		}
 	}
 	return nil
+}
+
+// ValidateReportJSON strictly decodes a JSON-encoded Report and checks it.
+func ValidateReportJSON(data []byte) error {
+	return schema.Decode(data, new(Report))
 }

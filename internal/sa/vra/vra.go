@@ -46,7 +46,7 @@ func Attach(static *sa.Result) {
 	// a sound previous iterate), so early reads stay sound.
 	static.Ranges = sums
 
-	fns := buildSSACache(prog)
+	fns := lir.BuildAllSSA(prog)
 
 	// Reverse-topological components: a forward pass sees callees before
 	// callers, so return summaries propagate bottom-up in one sweep.
@@ -75,22 +75,6 @@ func Attach(static *sa.Result) {
 			copy(sums[i].Params, pend[i])
 		}
 	}
-}
-
-// buildSSACache constructs SSA once per analyzable method. Uncompilable
-// methods and frontend failures yield nil — their bodies contribute no call
-// sites and their summaries stay top.
-func buildSSACache(prog *dex.Program) []*lir.Function {
-	fns := make([]*lir.Function, len(prog.Methods))
-	for i := range prog.Methods {
-		if prog.Methods[i].Uncompilable {
-			continue
-		}
-		if f, err := lir.BuildSSA(prog, dex.MethodID(i)); err == nil {
-			fns[i] = f
-		}
-	}
-	return fns
 }
 
 // accumulateCallSites joins the argument ranges of every analyzable call site
@@ -157,7 +141,7 @@ func callersKnown(static *sa.Result, fns []*lir.Function, id dex.MethodID) bool 
 
 // Narrowed counts parameter and return slots carrying a fact narrower than
 // top — the observability number reported by core's prepare span and the
-// rangelint totals.
+// `audit ranges` totals.
 func Narrowed(sums []sa.RangeSummary) (params, rets int) {
 	for i := range sums {
 		for _, p := range sums[i].Params {

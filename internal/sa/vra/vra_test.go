@@ -147,7 +147,7 @@ func TestAttachDeterministic(t *testing.T) {
 }
 
 // TestReportSchema round-trips a report through JSON and the structural
-// validator (the rangelint -json -validate path), then corrupts it in each
+// validator (the `audit ranges -json` path), then corrupts it in each
 // way the schema forbids.
 func TestReportSchema(t *testing.T) {
 	app, err := apps.Build(apps.WitnessSpec())
@@ -218,4 +218,13 @@ func TestReportSchema(t *testing.T) {
 	corrupt("negative count", func(doc map[string]any) {
 		doc["totals"].(map[string]any)["div_sites"] = -1
 	}, "div_sites")
+	corrupt("fractional schema version", func(doc map[string]any) {
+		doc["schema_version"] = 1.5
+	}, "schema_version")
+	corrupt("fractional count", func(doc map[string]any) {
+		firstMethod(doc)["checks"] = 2.5
+	}, "methods[0].checks")
+	corrupt("unknown key", func(doc map[string]any) {
+		doc["totals"].(map[string]any)["discharged"] = 1
+	}, "totals.discharged")
 }

@@ -4,7 +4,7 @@ package replayopt
 // range pass — alone and all together — to every preset pipeline must leave
 // every evaluation app's observable result identical, with the strict
 // translation validator attached and earning zero Rejected verdicts. This is
-// the whole-program complement of the per-pass progen fuzzing cmd/tvlint
+// the whole-program complement of the per-pass progen fuzzing `audit tv -fuzz`
 // runs (tv.Differential drills lir.PassNames(), which the registration
 // assertion below ties to the new passes).
 
@@ -22,7 +22,7 @@ import (
 
 var rangePassNames = []string{"rangecheckelim", "rangebranch", "rangestrength"}
 
-// TestRangePassesInFuzzerPool: tv.Differential (the tvlint fuzzer) drills
+// TestRangePassesInFuzzerPool: tv.Differential (the `audit tv -fuzz` fuzzer) drills
 // lir.PassNames() by default, so registration is what opts the range passes
 // into that coverage. A rename that silently drops one from the registry
 // would otherwise drop it from the fuzzer too.
@@ -33,7 +33,7 @@ func TestRangePassesInFuzzerPool(t *testing.T) {
 	}
 	for _, n := range rangePassNames {
 		if !registered[n] {
-			t.Errorf("pass %s not in lir.PassNames(); tvlint's fuzzer would skip it", n)
+			t.Errorf("pass %s not in lir.PassNames(); the tv fuzzer would skip it", n)
 		}
 	}
 }
