@@ -1,13 +1,19 @@
 package lir
 
-// Analyses over the SSA CFG: reverse postorder, dominators, and loops. They
-// are recomputed on demand; passes that mutate the CFG call Recompute.
+// Analyses over the SSA CFG: reverse postorder, dominators, and the loop
+// forest. Recompute builds all three in one go and caches them on the
+// function (Block.rpo, Block.IDom, Block.LoopDepth, Function.loops); nothing
+// refreshes them implicitly. A pass that edits the CFG must call Recompute
+// before it next queries dominators, loop depths, or Loops. Edits that only
+// add, remove, or rewrite values inside blocks leave the analyses valid.
 
 // Recompute reorders Blocks in reverse postorder, drops unreachable blocks
-// (fixing phi inputs), and refreshes dominators and loop depths.
+// (fixing phi inputs), and rebuilds dominators, the loop forest, and loop
+// depths.
 func (f *Function) Recompute() {
 	f.pruneUnreachable()
 	f.computeDominators()
+	f.loops = f.findLoops()
 	f.computeLoopDepths()
 }
 
@@ -154,13 +160,22 @@ func (l *Loop) Latches() []*Block {
 	return out
 }
 
-// Loops detects natural loops. Call after Recompute.
+// Loops returns the natural-loop forest built by the last Recompute; CFG
+// edits made since then are not reflected. The slice is the caller's to
+// reorder, but the Loops themselves are shared and must not be modified.
 func (f *Function) Loops() []*Loop {
+	return append([]*Loop(nil), f.loops...)
+}
+
+// findLoops detects natural loops from the current dominators.
+func (f *Function) findLoops() []*Loop {
 	byHead := map[*Block]*Loop{}
 	var loops []*Loop
 	for _, tail := range f.Blocks {
 		for _, head := range tail.Succs {
-			if !f.Dominates(head, tail) {
+			// A dominator precedes what it dominates in RPO, so only an
+			// edge that does not go forward can be a back edge.
+			if head.rpo > tail.rpo || !f.Dominates(head, tail) {
 				continue
 			}
 			l := byHead[head]
@@ -210,7 +225,7 @@ func (f *Function) computeLoopDepths() {
 	for _, b := range f.Blocks {
 		b.LoopDepth = 0
 	}
-	for _, l := range f.Loops() {
+	for _, l := range f.loops {
 		for b := range l.Blocks {
 			if l.Depth > b.LoopDepth {
 				b.LoopDepth = l.Depth

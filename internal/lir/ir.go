@@ -278,6 +278,77 @@ type Function struct {
 
 	nextValueID int
 	nextBlockID int
+	loops       []*Loop // the loop forest of the last Recompute
+}
+
+// Clone deep-copies f: fresh Blocks and Values with the same IDs, fields,
+// and wiring, and the same ID counters, sharing only the immutable Prog. The
+// analyses (RPO index, dominators, loop depths, loop forest) are not copied;
+// call Recompute on the copy before querying them.
+func (f *Function) Clone() *Function {
+	nvals := 0
+	for _, b := range f.Blocks {
+		nvals += len(b.Phis) + len(b.Insns)
+	}
+	bmap := make(map[*Block]*Block, len(f.Blocks))
+	vmap := make(map[*Value]*Value, nvals)
+	out := &Function{Prog: f.Prog, Method: f.Method, Name: f.Name,
+		nextValueID: f.nextValueID, nextBlockID: f.nextBlockID}
+	for _, b := range f.Blocks {
+		bmap[b] = &Block{ID: b.ID}
+	}
+	cloneVal := func(v *Value, nb *Block) *Value {
+		nv := &Value{
+			ID: v.ID, Op: v.Op, Type: v.Type, Block: nb,
+			Imm: v.Imm, F: v.F, Sym: v.Sym, Slot: v.Slot, Cond: v.Cond, Hint: v.Hint,
+			NoTrap: v.NoTrap,
+		}
+		vmap[v] = nv
+		return nv
+	}
+	out.Blocks = make([]*Block, 0, len(f.Blocks))
+	for _, b := range f.Blocks {
+		nb := bmap[b]
+		for _, p := range b.Phis {
+			nb.Phis = append(nb.Phis, cloneVal(p, nb))
+		}
+		for _, v := range b.Insns {
+			nb.Insns = append(nb.Insns, cloneVal(v, nb))
+		}
+		for _, s := range b.Succs {
+			nb.Succs = append(nb.Succs, bmap[s])
+		}
+		for _, p := range b.Preds {
+			nb.Preds = append(nb.Preds, bmap[p])
+		}
+		out.Blocks = append(out.Blocks, nb)
+	}
+	// Second pass: rewire arguments through the value map. An argument whose
+	// definition is outside every block (malformed IR) keeps the original
+	// pointer; VerifyIR reports that separately.
+	fix := func(v *Value) {
+		if len(v.Args) == 0 {
+			return
+		}
+		args := make([]*Value, len(v.Args))
+		for i, a := range v.Args {
+			if na, ok := vmap[a]; ok {
+				args[i] = na
+			} else {
+				args[i] = a
+			}
+		}
+		vmap[v].Args = args
+	}
+	for _, b := range f.Blocks {
+		for _, p := range b.Phis {
+			fix(p)
+		}
+		for _, v := range b.Insns {
+			fix(v)
+		}
+	}
+	return out
 }
 
 // NewValue creates a fresh value.

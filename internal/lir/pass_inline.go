@@ -74,8 +74,27 @@ func runInline(f *Function, ctx *PassContext, params map[string]int) error {
 	if rounds < 1 {
 		rounds = 1
 	}
+	spliced, err := inlineRounds(f, ctx, threshold, rounds)
+	// Splices append the callee's blocks out of order and leave the
+	// analyses stale; one Recompute settles both. A pass that fails before
+	// its first splice leaves the function untouched.
+	if err == nil || spliced {
+		f.Recompute()
+	}
+	return err
+}
+
+// inlineRounds splices call sites round by round and reports whether it
+// spliced any. Nothing between two splices reads dominators, loop depths,
+// or the RPO index — site checks, growth checks, and note anchors use block
+// and value IDs only — so the analyses are rebuilt once per round, where the
+// next round needs f.Blocks in RPO to collect its sites.
+func inlineRounds(f *Function, ctx *PassContext, threshold, rounds int) (spliced bool, err error) {
 	budget := 60 // call sites per invocation; a compile-time guard
 	for r := 0; r < rounds; r++ {
+		if r > 0 {
+			f.Recompute()
+		}
 		inlinedAny := false
 		// Snapshot call sites: splicing mutates the block list.
 		type site struct {
@@ -115,21 +134,22 @@ func runInline(f *Function, ctx *PassContext, params map[string]int) error {
 					KV("callee", int64(target)), KV("size", int64(len(callee.Code))),
 					KV("threshold", int64(threshold)), KV("round", int64(r)))
 			}
-			if err := inlineCall(f, s.b, s.v, target); err != nil {
-				return err
+			calleeF, err := ctx.calleeSSA(f.Prog, target)
+			if err != nil {
+				return spliced, err
 			}
+			inlineCall(f, s.b, s.v, calleeF)
 			budget--
-			inlinedAny = true
+			inlinedAny, spliced = true, true
 			if err := ctx.checkGrowth(f, "inline"); err != nil {
-				return err
+				return spliced, err
 			}
 		}
 		if !inlinedAny {
 			break
 		}
 	}
-	f.Recompute()
-	return nil
+	return spliced, nil
 }
 
 func stillPresent(f *Function, b *Block, v *Value) bool {
@@ -141,12 +161,10 @@ func stillPresent(f *Function, b *Block, v *Value) bool {
 	return false
 }
 
-// inlineCall splices callee's SSA body in place of the call.
-func inlineCall(f *Function, callBlock *Block, call *Value, target dex.MethodID) error {
-	calleeF, err := BuildSSA(f.Prog, target)
-	if err != nil {
-		return err
-	}
+// inlineCall splices calleeF, a private copy of the callee's SSA that it
+// consumes, in place of the call. It appends the callee's blocks to f.Blocks
+// without recomputing the analyses; the caller does that.
+func inlineCall(f *Function, callBlock *Block, call *Value, calleeF *Function) {
 	// Renumber the callee's values and blocks into the caller's ID space:
 	// value IDs must stay unique within a function (GVN and friends key on
 	// them).
@@ -174,7 +192,7 @@ func inlineCall(f *Function, callBlock *Block, call *Value, target dex.MethodID)
 		}
 	}
 	if idx < 0 {
-		return nil
+		return
 	}
 	cont.Insns = append(cont.Insns, callBlock.Insns[idx+1:]...)
 	for _, v := range cont.Insns {
@@ -214,7 +232,6 @@ func inlineCall(f *Function, callBlock *Block, call *Value, target dex.MethodID)
 
 	// Rewrite callee returns into jumps to cont; collect return values.
 	var retVals []*Value
-	var retBlocks []*Block
 	for _, b := range calleeF.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != OpReturn {
@@ -226,9 +243,7 @@ func inlineCall(f *Function, callBlock *Block, call *Value, target dex.MethodID)
 		t.Op = OpJump
 		t.Args = nil
 		AddEdge(b, cont)
-		retBlocks = append(retBlocks, b)
 	}
-	_ = retBlocks
 	// Wire the call block into the callee entry.
 	jmp := f.NewValue(OpJump, TVoid)
 	callBlock.AppendRaw(jmp)
@@ -256,8 +271,6 @@ func inlineCall(f *Function, callBlock *Block, call *Value, target dex.MethodID)
 			f.ReplaceUses(call, phi)
 		}
 	}
-	f.Recompute()
-	return nil
 }
 
 func runDevirt(f *Function, ctx *PassContext, params map[string]int) error {

@@ -290,8 +290,10 @@ func runUnroll(f *Function, ctx *PassContext, params map[string]int) error {
 	noRemainder := params["no-remainder"] == 1
 
 	processed := map[*Block]bool{}
+	// Every CFG edit below (unrollOne, ensurePreheader) ends in Recompute,
+	// so each iteration starts from the current loop forest.
+	f.Recompute()
 	for {
-		f.Recompute()
 		loops := f.Loops()
 		var target *countedLoop
 		for _, l := range loops {
@@ -453,8 +455,9 @@ func runPeel(f *Function, ctx *PassContext, params map[string]int) error {
 	if count < 1 {
 		count = 1
 	}
+	// peelOne and ensurePreheader end every CFG edit in Recompute.
+	f.Recompute()
 	for n := 0; n < count; n++ {
-		f.Recompute()
 		peeled := false
 		for _, l := range f.Loops() {
 			cl, ok := analyzeCounted(f, l)
@@ -525,8 +528,9 @@ func peelOne(f *Function, cl *countedLoop) {
 // Fig. 1's compiler-error class.
 func runVectorize(f *Function, ctx *PassContext, _ map[string]int) error {
 	processed := map[*Block]bool{}
+	// unrollOne and ensurePreheader end every CFG edit in Recompute.
+	f.Recompute()
 	for {
-		f.Recompute()
 		loops := f.Loops()
 		var target *countedLoop
 		for _, l := range loops {

@@ -16,8 +16,9 @@ func init() {
 
 func runUnswitch(f *Function, ctx *PassContext, _ map[string]int) error {
 	done := map[*Block]bool{}
+	// unswitchOne and ensurePreheader end every CFG edit in Recompute.
+	f.Recompute()
 	for {
-		f.Recompute()
 		applied := false
 		for _, l := range f.Loops() {
 			if done[l.Head] {

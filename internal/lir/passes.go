@@ -132,6 +132,28 @@ type PassContext struct {
 	traceNotes   bool
 	notes        []RewriteNote
 	notesDropped int
+
+	// callees caches the inliner's callee SSA for the lifetime of one
+	// compile (one PassContext), so each target is built from dex once.
+	callees map[dex.MethodID]*Function
+}
+
+// calleeSSA returns a private copy of target's SSA for the inliner to splice.
+// The SSA is built on first use and cached on the context; a context serves
+// one sequential compile, so the cache needs no lock.
+func (ctx *PassContext) calleeSSA(prog *dex.Program, target dex.MethodID) (*Function, error) {
+	fn, ok := ctx.callees[target]
+	if !ok {
+		var err error
+		if fn, err = BuildSSA(prog, target); err != nil {
+			return nil, err
+		}
+		if ctx.callees == nil {
+			ctx.callees = map[dex.MethodID]*Function{}
+		}
+		ctx.callees[target] = fn
+	}
+	return fn.Clone(), nil
 }
 
 // Tracing reports whether decision notes are being collected. Passes guard

@@ -67,7 +67,7 @@ func runPass(t *testing.T, f *lir.Function, name string) {
 // Identity: a function is equivalent to its own clone.
 func TestValidateIdentity(t *testing.T) {
 	f := buildFn(t, testSrc, "work")
-	v, reason := Validate(Clone(f), f, lir.Traits{})
+	v, reason := Validate(f.Clone(), f, lir.Traits{})
 	if v != Verified {
 		t.Fatalf("identity: %s (%s)", v, reason)
 	}
@@ -83,7 +83,7 @@ func TestValidateSinglePasses(t *testing.T) {
 	for _, pass := range lir.PassNames() {
 		for _, fname := range []string{"work", "main"} {
 			f := buildFn(t, testSrc, fname)
-			before := Clone(f)
+			before := f.Clone()
 			if err := lir.RunPassForTest(f, pass, nil); err != nil {
 				continue // designed compile-time outcome (e.g. vectorize crash)
 			}
@@ -139,7 +139,7 @@ func TestGoldenPresets(t *testing.T) {
 // The deliberately broken pass is caught statically.
 func TestMiscompileRejected(t *testing.T) {
 	f := buildFn(t, testSrc, "work")
-	before := Clone(f)
+	before := f.Clone()
 	if !skewFirstStore(f) {
 		t.Fatal("skewFirstStore found nothing to mutate")
 	}
@@ -327,12 +327,12 @@ func TestSeededMutations(t *testing.T) {
 // Clone must be deep: mutating the clone leaves the original intact.
 func TestCloneIsDeep(t *testing.T) {
 	f := buildFn(t, testSrc, "work")
-	c := Clone(f)
+	c := f.Clone()
 	if err := VerifyStrict(c); err != nil {
 		t.Fatalf("clone invalid: %v", err)
 	}
 	skewFirstStore(c)
-	if v, reason := Validate(f, Clone(f), lir.Traits{}); v != Verified {
+	if v, reason := Validate(f, f.Clone(), lir.Traits{}); v != Verified {
 		t.Fatalf("original damaged by clone mutation: %s (%s)", v, reason)
 	}
 }
