@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -41,6 +42,13 @@ func TestRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	storeBench, err := os.ReadFile("../../BENCH_store.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setStoreField := func(field, value string) string {
+		return regexp.MustCompile(`"`+field+`": \d+`).ReplaceAllString(string(storeBench), `"`+field+`": `+value)
+	}
 	for _, tc := range []struct {
 		name       string
 		args       []string
@@ -65,6 +73,11 @@ func TestRun(t *testing.T) {
 		{name: "corrupt bench", args: []string{"check", "bench"},
 			stdin:      strings.Replace(string(fleetBench), `"dropped_jobs": 0`, `"dropped_jobs": -1`, 1),
 			wantStatus: 1, wantStderr: "dropped_jobs"},
+		{name: "store bench without gzip baseline", args: []string{"check", "bench"},
+			stdin: setStoreField("gzip_bytes", "0"), wantStatus: 1, wantStderr: "gzip_bytes 0 not positive"},
+		{name: "store bench castore not below gzip", args: []string{"check", "bench"},
+			stdin:      setStoreField("castore_bytes", "999999999"),
+			wantStatus: 1, wantStderr: "not smaller than gzip"},
 		{name: "empty check", args: []string{"check", "tv"}, wantStatus: 1, wantStderr: "no tv document"},
 	} {
 		var stdout, stderr bytes.Buffer

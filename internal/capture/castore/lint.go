@@ -250,17 +250,17 @@ func Repair(path string, sc *obs.Scope) (rs RepairStats, err error) {
 }
 
 // BenchSchemaVersion versions the BENCH_store.json artifact.
-const BenchSchemaVersion = 1
+const BenchSchemaVersion = 2
 
 // Bench is the BENCH_store.json document written by BenchmarkSnapshotStore:
-// the content-addressed store against the legacy blob on a multi-capture
-// store, its latencies, and its corruption-recovery rate.
+// the content-addressed store against one gzip stream of the same raw pages
+// on a multi-capture store, its latencies, and its corruption-recovery rate.
 type Bench struct {
 	SchemaVersion     int     `json:"schema_version"`
 	Benchmark         string  `json:"benchmark"`
 	Captures          int     `json:"captures"`
 	RawPageBytes      int64   `json:"raw_page_bytes"`
-	LegacyBytes       int64   `json:"legacy_bytes"`
+	GzipBytes         int64   `json:"gzip_bytes"`
 	CastoreBytes      int64   `json:"castore_bytes"`
 	DedupRatio        float64 `json:"dedup_ratio"`
 	ChunksUnique      int     `json:"chunks_unique"`
@@ -273,8 +273,8 @@ type Bench struct {
 	TornTailRecovered bool    `json:"torn_tail_recovered"`
 }
 
-// Check holds the artifact's invariants: a recovery rate in [0,1] and a
-// non-empty castore file smaller than the legacy blob.
+// Check holds the artifact's invariants: a recovery rate in [0,1], a
+// non-empty gzip baseline, and a non-empty castore file smaller than it.
 func (b *Bench) Check() error {
 	if b.SchemaVersion != BenchSchemaVersion {
 		return fmt.Errorf("schema_version %d, want %d", b.SchemaVersion, BenchSchemaVersion)
@@ -288,8 +288,11 @@ func (b *Bench) Check() error {
 	if b.CastoreBytes <= 0 {
 		return fmt.Errorf("castore_bytes %v not positive", b.CastoreBytes)
 	}
-	if b.LegacyBytes > 0 && b.CastoreBytes >= b.LegacyBytes {
-		return fmt.Errorf("castore store (%v B) not smaller than the legacy blob (%v B)", b.CastoreBytes, b.LegacyBytes)
+	if b.GzipBytes <= 0 {
+		return fmt.Errorf("gzip_bytes %v not positive", b.GzipBytes)
+	}
+	if b.CastoreBytes >= b.GzipBytes {
+		return fmt.Errorf("castore store (%v B) not smaller than gzip of the raw pages (%v B)", b.CastoreBytes, b.GzipBytes)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package capture
 
 import (
+	"bytes"
+	"compress/gzip"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,7 +26,7 @@ func captureOne(t *testing.T) (*Store, *Snapshot, *dex.Program) {
 // captureN captures n snapshots of the same hot region with different args
 // into one store — the multi-capture shape where content-addressed dedup
 // pays off (the hot region touches mostly the same pages every time).
-func captureN(t *testing.T, n int) (*Store, []*Snapshot, *dex.Program) {
+func captureN(t testing.TB, n int) (*Store, []*Snapshot, *dex.Program) {
 	t.Helper()
 	args := make([]uint64, n)
 	for i := range args {
@@ -34,7 +37,7 @@ func captureN(t *testing.T, n int) (*Store, []*Snapshot, *dex.Program) {
 
 // captureArgs is captureN with explicit hot-region arguments, so tests can
 // make two independent stores whose snapshots do (or do not) coincide.
-func captureArgs(t *testing.T, args []uint64) (*Store, []*Snapshot, *dex.Program) {
+func captureArgs(t testing.TB, args []uint64) (*Store, []*Snapshot, *dex.Program) {
 	t.Helper()
 	prog, err := minic.CompileSource("p", `
 global int[] data;
@@ -201,39 +204,14 @@ func TestCompressionIsEffective(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatStillLoads pins the migration path: version-1 gob+gzip
-// blobs written by older builds must keep loading, and a Save over one
-// rewrites it in the current format.
-func TestLegacyFormatStillLoads(t *testing.T) {
-	store, snap, _ := captureOne(t)
-	path := filepath.Join(t.TempDir(), "captures.gob.gz")
-	if err := store.SaveLegacy(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, info, err := LoadWithInfo(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Legacy {
-		t.Error("legacy blob not flagged as legacy")
-	}
-	if len(loaded.Snapshots) != 1 || len(loaded.Snapshots[0].Pages) != len(snap.Pages) {
-		t.Fatal("legacy load lost snapshot data")
-	}
-	// Saving over the legacy blob migrates it.
-	if err := loaded.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	again, info2, err := LoadWithInfo(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2.Legacy {
-		t.Error("store still legacy after Save")
-	}
-	if len(again.Snapshots) != 1 {
-		t.Fatalf("%d snapshots after migration", len(again.Snapshots))
-	}
+// gzipBlob is a gzip stream, the shape of the version-1 store format that
+// earlier builds wrote and that Load no longer reads.
+func gzipBlob() []byte {
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write([]byte("not a castore record stream")) // a bytes.Buffer never fails
+	zw.Close()
+	return buf.Bytes()
 }
 
 func TestLoadRejectsForeignFiles(t *testing.T) {
@@ -252,6 +230,34 @@ func TestLoadRejectsForeignFiles(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(dir, "missing"), nil); err == nil {
 		t.Error("Load accepted a missing file")
+	}
+	gz := filepath.Join(dir, "captures.gob.gz")
+	if err := os.WriteFile(gz, gzipBlob(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(gz, nil); !errors.Is(err, castore.ErrNotCastore) {
+		t.Errorf("Load of a gzip blob: %v, want ErrNotCastore", err)
+	}
+
+	// Save over a foreign file replaces it, and every snapshot reads back.
+	store, snaps, _ := captureN(t, 2)
+	if err := store.Save(gz); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(gz, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded.Snapshots) != len(snaps) {
+		t.Fatalf("%d snapshots after replacing a foreign file, want %d", len(loaded.Snapshots), len(snaps))
+	}
+	for i, sn := range loaded.Snapshots {
+		if err := sn.EnsurePages(); err != nil {
+			t.Fatal(err)
+		}
+		if len(sn.Pages) != len(snaps[i].Pages) {
+			t.Errorf("snapshot %d: %d pages read back, want %d", i, len(sn.Pages), len(snaps[i].Pages))
+		}
 	}
 }
 
@@ -486,4 +492,54 @@ func TestPersistPreservesOtherSessionsSnapshots(t *testing.T) {
 	if len(reloaded.Snapshots) != 2 {
 		t.Fatalf("%d snapshots after discard+save, want 2", len(reloaded.Snapshots))
 	}
+}
+
+// FuzzLoadWithInfo feeds arbitrary bytes to LoadWithInfo, the decoder of
+// persisted capture stores. Whatever the file holds, the load must return
+// rather than panic; a store it accepts reports non-negative counts, and
+// materializing its pages either succeeds or returns an error.
+func FuzzLoadWithInfo(f *testing.F) {
+	store, _, _ := captureN(f, 2)
+	path := filepath.Join(f.TempDir(), "seed.cas")
+	save := func() []byte {
+		if err := store.Save(path); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	pristine := save()
+	// A second save session appends an index record; cut it mid-record.
+	grown := save()
+	flipped := append([]byte(nil), pristine...)
+	flipped[len(flipped)/2] ^= 0x10
+
+	f.Add(pristine)
+	f.Add(grown[:len(grown)-5])
+	f.Add(flipped)
+	f.Add(gzipBlob())
+	f.Add([]byte{})
+
+	// Inputs run one at a time within a process, so they share one file.
+	input := filepath.Join(f.TempDir(), "input.cas")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(input, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, info, err := LoadWithInfo(input, nil)
+		if err != nil {
+			return
+		}
+		if info.Snapshots != len(store.Snapshots) || info.SkippedSnapshots < 0 ||
+			info.DamagedRecords < 0 || info.TruncatedTailBytes < 0 {
+			t.Fatalf("implausible load accounting %+v for %d snapshots", info, len(store.Snapshots))
+		}
+		for _, sn := range store.Snapshots {
+			_ = sn.EnsurePages()
+		}
+		_ = store.EnsureBoot()
+	})
 }

@@ -87,12 +87,6 @@ type Options struct {
 	// blocklist's methods, so this flag can only shrink regions; it exists
 	// for comparison runs and as an escape hatch.
 	LegacyBlocklist bool
-	// Warm evaluates GA candidates on warm replay workers: the post-restore
-	// address space is built once per snapshot (template), cloned CoW per
-	// worker, and reset between genomes instead of re-restored. Replay cycle
-	// counts are ASLR-layout-independent, so results — traces, reports — are
-	// byte-identical warm or cold; the flag is the escape hatch (-warm=off).
-	Warm bool
 	// Obs, when set, traces the whole Fig. 6 loop — nested spans for
 	// profile, capture, verify, search, and install plus counters and
 	// histograms in the scope's registry — and is propagated to the capture
@@ -109,10 +103,9 @@ type Options struct {
 	RTrace *obs.JSONLWriter
 }
 
-// DefaultOptions mirrors §4. Warm workers are on by default; Options.Warm
-// documents why that cannot change results.
+// DefaultOptions mirrors §4.
 func DefaultOptions() Options {
-	return Options{GA: ga.DefaultOptions(), Replays: 10, OnlineRuns: 10, Seed: 1, Warm: true}
+	return Options{GA: ga.DefaultOptions(), Replays: 10, OnlineRuns: 10, Seed: 1}
 }
 
 // Report is the pipeline outcome for one app.
@@ -201,21 +194,23 @@ type Prepared struct {
 	ev *replayEvaluator
 }
 
-// Evaluate measures one configuration by replay (ga.Evaluator).
-func (p *Prepared) Evaluate(cfg lir.Config) ga.Evaluation { return p.ev.Evaluate(cfg) }
+// Evaluate implements ga.Evaluator: compile the region under cfg, replay the
+// capture, verify, and time it, restoring the snapshot for every replay.
+func (p *Prepared) Evaluate(cfg lir.Config) ga.Evaluation { return p.ev.evaluate(cfg, nil) }
 
-// BindWorker implements ga.WorkerBinder: with warm replay enabled it hands
-// each search worker goroutine a workerSet holding warm template clones;
-// otherwise it returns the shared cold evaluator.
+// BindWorker implements ga.WorkerBinder: it hands each search worker
+// goroutine a workerSet of warm replay workers. The post-restore address
+// space is built once per snapshot (template), cloned copy-on-write per
+// worker, and reset between genomes instead of re-restored. Replay cycle
+// counts are ASLR-layout-independent, so a warm evaluation returns exactly
+// what Evaluate (the cold path, which restores per run) returns: traces and
+// reports are byte-identical either way. A search that should replay cold
+// hides this method by wrapping p as struct{ ga.Evaluator }{p}.
 func (p *Prepared) BindWorker() ga.Evaluator { return p.ev.bindWorker() }
 
 // ReleaseWorker returns a bound workerSet to the idle pool so later
 // generations (and the hill climb) reuse its warm spaces.
 func (p *Prepared) ReleaseWorker(e ga.Evaluator) { p.ev.releaseWorker(e) }
-
-// SetWarm toggles warm replay workers after preparation (benchmarks sweep
-// it). Results are identical either way; only throughput changes.
-func (p *Prepared) SetWarm(on bool) { p.ev.warm = on }
 
 // EvaluateImage measures a complete code image by replay.
 func (p *Prepared) EvaluateImage(code *machine.Program) (ga.Evaluation, uint64) {
@@ -386,8 +381,7 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 	p.ev = &replayEvaluator{
 		o: o, app: app, snap: snap, vmap: vmap, prof: typeProf,
 		static: p.Analysis.Effects, region: region, android: android,
-		tvcheck: o.Opts.TVCheck,
-		warm:    o.Opts.Warm, templates: replay.NewTemplateCache(),
+		tvcheck: o.Opts.TVCheck, templates: replay.NewTemplateCache(),
 	}
 	andEval := p.ev.evaluateImage(android, nil, "")
 	if andEval.Outcome.Failed() {
@@ -605,10 +599,8 @@ type replayEvaluator struct {
 	// obsParent, when set (serially, before evaluations fan out), parents
 	// the per-discard audit spans under the search span.
 	obsParent *obs.Span
-	// warm switches candidate replays to warm template clones; templates
-	// caches the restored spaces and idle holds released workerSets for
-	// reuse across evaluation batches.
-	warm      bool
+	// templates caches the restored spaces bound workerSets clone from, and
+	// idle holds released workerSets for reuse across evaluation batches.
 	templates *replay.TemplateCache
 	mu        sync.Mutex
 	idle      []*workerSet
@@ -640,9 +632,6 @@ func (ws *workerSet) worker(seed int64) (*replay.Worker, error) {
 }
 
 func (ev *replayEvaluator) bindWorker() ga.Evaluator {
-	if !ev.warm {
-		return ev
-	}
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	if n := len(ev.idle); n > 0 {
@@ -654,12 +643,8 @@ func (ev *replayEvaluator) bindWorker() ga.Evaluator {
 }
 
 func (ev *replayEvaluator) releaseWorker(e ga.Evaluator) {
-	ws, ok := e.(*workerSet)
-	if !ok {
-		return
-	}
 	ev.mu.Lock()
-	ev.idle = append(ev.idle, ws)
+	ev.idle = append(ev.idle, e.(*workerSet))
 	ev.mu.Unlock()
 }
 
@@ -771,12 +756,6 @@ func truncateLabel(s string, n int) string {
 type imageEval struct {
 	ga.Evaluation
 	cycles uint64
-}
-
-// Evaluate implements ga.Evaluator: compile the region under cfg, replay the
-// capture, verify, and time it (always on the cold restore path).
-func (ev *replayEvaluator) Evaluate(cfg lir.Config) ga.Evaluation {
-	return ev.evaluate(cfg, nil)
 }
 
 // evaluate is the shared candidate measurement; a non-nil ws replays against

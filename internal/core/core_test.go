@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"replayopt/internal/ga"
@@ -66,11 +69,6 @@ func runPipeline(t *testing.T, seed int64) *Report {
 
 func runPipelineAt(t *testing.T, seed int64, parallelism int) *Report {
 	t.Helper()
-	return runPipelineWarm(t, seed, parallelism, true)
-}
-
-func runPipelineWarm(t *testing.T, seed int64, parallelism int, warm bool) *Report {
-	t.Helper()
 	prog, err := minic.CompileSource("miniapp", appSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +76,6 @@ func runPipelineWarm(t *testing.T, seed int64, parallelism int, warm bool) *Repo
 	opts := smallOptions()
 	opts.Seed = seed
 	opts.GA.Parallelism = parallelism
-	opts.Warm = warm
 	opt := New(opts)
 	rep, err := opt.Optimize(&App{Name: "miniapp", Prog: prog})
 	if err != nil {
@@ -191,42 +188,77 @@ func TestPipelineParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// Warm replay workers are a pure throughput change: the full decision trace
-// and every report field must be byte-identical with warm workers on or off,
-// at every tested worker count. This is the issue's determinism guarantee —
-// `-warm=off` is an escape hatch, never a different search.
+// Warm replay workers are a pure throughput change. A search over the
+// Prepared evaluator binds warm workers; the same search over a wrapper that
+// hides ga.WorkerBinder replays cold through Prepared.Evaluate. Both must
+// produce the same decision trace, winner, winning evaluation and stats at
+// every tested worker count, and full pipeline reports must not depend on
+// the worker count either.
 func TestPipelineWarmMatchesColdAcrossParallelism(t *testing.T) {
-	ref := runPipelineWarm(t, 4, 1, false)
-	refTrace := ref.Search.DecisionTrace()
+	const seed = 4
+	prog, err := minic.CompileSource("miniapp", appSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := smallOptions()
+	opts.Seed = seed
+	app := &App{Name: "miniapp", Prog: prog}
+	p, err := New(opts).Prepare(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(ev ga.Evaluator, parallelism int) *ga.Result {
+		o := opts.GA
+		o.BaselineAndroidMs = p.AndroidEval.MeanMs
+		o.BaselineO3Ms = p.O3Eval.MeanMs
+		o.Parallelism = parallelism
+		return ga.Search(rand.New(rand.NewSource(seed*7919+int64(len(app.Name)))), ev, o)
+	}
+	ref := search(struct{ ga.Evaluator }{p}, 1)
+	refTrace := ref.DecisionTrace()
 	for _, par := range []int{1, 4, 8} {
 		for _, warm := range []bool{false, true} {
 			if par == 1 && !warm {
 				continue // that is ref itself
 			}
-			got := runPipelineWarm(t, 4, par, warm)
+			var ev ga.Evaluator = struct{ ga.Evaluator }{p}
+			if warm {
+				ev = p
+			}
+			got := search(ev, par)
 			label := fmt.Sprintf("parallelism=%d warm=%v", par, warm)
-			if tr := got.Search.DecisionTrace(); tr != refTrace {
-				t.Errorf("%s: decision trace differs from cold serial run:\n--- got\n%s\n--- want\n%s",
+			if tr := got.DecisionTrace(); tr != refTrace {
+				t.Errorf("%s: decision trace differs from cold serial search:\n--- got\n%s\n--- want\n%s",
 					label, tr, refTrace)
 			}
-			if got.Best.Fingerprint() != ref.Best.Fingerprint() {
-				t.Errorf("%s: best config differs", label)
+			if got.Best.String() != ref.Best.String() {
+				t.Errorf("%s: best genome differs:\n%s\n%s", label, got.Best, ref.Best)
 			}
-			if got.GARegionMs != ref.GARegionMs || got.AndroidRegionMs != ref.AndroidRegionMs ||
-				got.O3RegionMs != ref.O3RegionMs {
-				t.Errorf("%s: region timings differ: %+v vs %+v", label, got, ref)
+			if !reflect.DeepEqual(got.BestEval, ref.BestEval) {
+				t.Errorf("%s: best evaluation differs: %+v vs %+v", label, got.BestEval, ref.BestEval)
 			}
-			if got.AndroidOnlineCycles != ref.AndroidOnlineCycles ||
-				got.GAOnlineCycles != ref.GAOnlineCycles ||
-				got.SpeedupGA != ref.SpeedupGA || got.RegionSpeedupGA != ref.RegionSpeedupGA {
-				t.Errorf("%s: online measurements differ", label)
+			if got.Stats != ref.Stats {
+				t.Errorf("%s: search stats differ: %+v vs %+v", label, got.Stats, ref.Stats)
 			}
-			if got.SearchStats != ref.SearchStats {
-				t.Errorf("%s: search stats differ: %+v vs %+v", label, got.SearchStats, ref.SearchStats)
-			}
-			if got.KeptBaseline != ref.KeptBaseline {
-				t.Errorf("%s: KeptBaseline differs", label)
-			}
+		}
+	}
+
+	serial := runPipelineAt(t, seed, 1)
+	if tr := serial.Search.DecisionTrace(); tr != refTrace {
+		t.Errorf("Optimize's search differs from the cold serial search on the same preparation:\n--- got\n%s\n--- want\n%s",
+			tr, refTrace)
+	}
+	want, err := json.Marshal(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{4, 8} {
+		got, err := json.Marshal(runPipelineAt(t, seed, par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("parallelism=%d: report differs from the serial run:\n got %s\nwant %s", par, got, want)
 		}
 	}
 }

@@ -173,7 +173,6 @@ type WorkerBinder interface {
 type Options struct {
 	Generations      int     // 11 total, first random
 	Population       int     // 50
-	Replays          int     // 10 evaluations per genome (evaluator-side)
 	MinGenomeLen     int     // crossover minimum
 	MaxGenomeLen     int     // random-genome cap
 	MutateGenomeProb float64 // 0.05
@@ -230,7 +229,6 @@ func DefaultOptions() Options {
 		SeedPresets:      true,
 		Generations:      11,
 		Population:       50,
-		Replays:          10,
 		MinGenomeLen:     2,
 		MaxGenomeLen:     24,
 		MutateGenomeProb: 0.05,

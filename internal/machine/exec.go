@@ -55,13 +55,11 @@ type Exec struct {
 	// Hook, when set, intercepts the first call to Hook.Method.
 	Hook *CaptureHook
 
-	// Trace, when set, observes every executed instruction (debugging).
-	Trace func(m dex.MethodID, pc int)
-
-	// NoFuse disables superinstruction dispatch (the escape hatch for
-	// cycle-identity tests and debugging); fused and unfused execution
-	// produce identical results and identical success cycle counts.
-	NoFuse bool
+	// noFuse disables superinstruction dispatch. It is the unfused oracle
+	// that TestFusedExecutionMatchesUnfused and TestBranchIntoFusedPair
+	// compare fused execution against: both must produce identical results
+	// and identical success cycle counts.
+	noFuse bool
 	// PairTally, when set, counts executed fallthrough opcode pairs
 	// ("mul>add") — the measurement that selects the fusible op set. It
 	// forces the instrumented slow path, so it is for profiling runs only.
@@ -205,7 +203,7 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 	var prevLatency uint64
 	var readBuf [8]int
 
-	// Fast dispatch: with no sampler, tracer, or pair tally attached, the
+	// Fast dispatch: with no sampler or pair tally attached, the
 	// per-op budget check inlines against a hoisted limit (MaxCycles == 0
 	// becomes an unreachable ceiling) and fusible adjacent op pairs execute
 	// as superinstructions from the Fn's fuse table. Both transformations
@@ -213,13 +211,13 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 	// value of a run that times out mid-pair can differ, and failed runs
 	// never contribute a measurement.
 	sampling := x.SamplePeriod > 0 && x.Sampler != nil
-	fast := !sampling && x.Trace == nil && x.PairTally == nil
+	fast := !sampling && x.PairTally == nil
 	limit := x.MaxCycles
 	if limit == 0 {
 		limit = math.MaxUint64
 	}
 	fuse, raw := fn.tables()
-	if !fast || x.NoFuse {
+	if !fast || x.noFuse {
 		fuse = nil
 	}
 	lastOp := Nop
@@ -264,9 +262,6 @@ func (x *Exec) runFrame(fn *Fn, args []uint64) (uint64, error) {
 				continue
 			}
 		} else {
-			if x.Trace != nil {
-				x.Trace(fn.Method, pc)
-			}
 			if x.PairTally != nil {
 				if fellThrough {
 					x.PairTally.Inc(lastOp.String() + ">" + in.Op.String())

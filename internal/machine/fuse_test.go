@@ -34,7 +34,7 @@ func TestFusedExecutionMatchesUnfused(t *testing.T) {
 		proc := rt.NewProcess(prog, rt.Config{})
 		x := NewExec(proc, code)
 		x.MaxCycles = 10_000_000
-		x.NoFuse = nofuse
+		x.noFuse = nofuse
 		v, err := x.Call(0, nil)
 		if err != nil {
 			t.Fatalf("nofuse=%v: %v", nofuse, err)
@@ -97,7 +97,7 @@ func TestBranchIntoFusedPair(t *testing.T) {
 		proc := rt.NewProcess(prog, rt.Config{})
 		x := NewExec(proc, code)
 		x.MaxCycles = 1_000_000
-		x.NoFuse = nofuse
+		x.noFuse = nofuse
 		v, err := x.Call(0, nil)
 		if err != nil {
 			t.Fatal(err)
