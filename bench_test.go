@@ -23,7 +23,6 @@ import (
 	"testing"
 	"time"
 
-	"replayopt/internal/aot"
 	"replayopt/internal/apps"
 	"replayopt/internal/capture"
 	"replayopt/internal/capture/castore"
@@ -72,6 +71,14 @@ func writeArtifact(b *testing.B, path string, doc schema.Checker) {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// runWhole runs app's whole program online under code and returns its result
+// and the cycles it took.
+func runWhole(app *core.App, code *machine.Program) (ret, cycles uint64, err error) {
+	_, x := app.NewProcessAndExec(code)
+	ret, err = x.Call(app.Prog.Entry, nil)
+	return ret, x.Cycles, err
 }
 
 func BenchmarkTable1(b *testing.B) {
@@ -497,14 +504,6 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 		}
 		return
 	}
-	runProgram := func(app *core.App, code *machine.Program) (uint64, error) {
-		_, x := app.NewProcessAndExec(code)
-		x.MaxCycles = 50_000_000_000
-		if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-			return 0, err
-		}
-		return x.Cycles, nil
-	}
 	rangeSpecs := []lir.PassSpec{
 		{Name: "rangecheckelim"},
 		{Name: "rangebranch"},
@@ -530,23 +529,14 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 			}
 			// Locate the hot region exactly as the optimizer's prepare
 			// stage does, then attach interprocedural summaries.
-			android, err := aot.Compile(app.Prog)
+			located, ok, err := new(core.Optimizer).LocateHotRegion(app)
 			if err != nil {
 				b.Fatal(err)
 			}
-			prof := profile.NewProfile()
-			_, x := app.NewProcessAndExec(android)
-			x.SamplePeriod = profile.SamplePeriodCycles
-			x.Sampler = prof
-			x.MaxCycles = 50_000_000_000
-			if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-				b.Fatal(err)
-			}
-			analysis := profile.Analyze(app.Prog)
-			region, ok := profile.HotRegion(app.Prog, analysis, prof)
 			if !ok {
 				b.Fatalf("%s: no replayable hot region", name)
 			}
+			analysis, region := located.Analysis, located.Region
 			start := time.Now()
 			vra.Attach(analysis.Effects)
 			analysisMs := time.Since(start).Seconds() * 1000
@@ -560,7 +550,7 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			chk := tv.NewChecker(tv.Options{Strict: true})
+			chk := tv.NewChecker(tv.Options{})
 			optChecked := opt
 			optChecked.Check = chk
 			optChecked.CheckEach = true
@@ -587,10 +577,10 @@ func BenchmarkRangeAnalysis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if row.CyclesBase, err = runProgram(app, baseAll); err != nil {
+			if _, row.CyclesBase, err = runWhole(app, baseAll); err != nil {
 				b.Fatal(err)
 			}
-			if row.CyclesOpt, err = runProgram(app, optAll); err != nil {
+			if _, row.CyclesOpt, err = runWhole(app, optAll); err != nil {
 				b.Fatal(err)
 			}
 			row.CycleDeltaPct = (float64(row.CyclesOpt)/float64(row.CyclesBase) - 1) * 100
@@ -675,14 +665,6 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 	appNames := []string{"Sparse matmult", "Linpack", "Dhrystone", "FFT", "SOR", "MaterialLife"}
 	const minKernelDisambiguationPct = 30.0
 
-	runProgram := func(app *core.App, code *machine.Program) (uint64, error) {
-		_, x := app.NewProcessAndExec(code)
-		x.MaxCycles = 50_000_000_000
-		if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-			return 0, err
-		}
-		return x.Cycles, nil
-	}
 	specFor := func(name string) (apps.Spec, bool) {
 		if name == "ScratchFilter" {
 			return apps.ScratchSpec(), true
@@ -714,23 +696,14 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			android, err := aot.Compile(app.Prog)
+			located, ok, err := new(core.Optimizer).LocateHotRegion(app)
 			if err != nil {
 				b.Fatal(err)
 			}
-			prof := profile.NewProfile()
-			_, x := app.NewProcessAndExec(android)
-			x.SamplePeriod = profile.SamplePeriodCycles
-			x.Sampler = prof
-			x.MaxCycles = 50_000_000_000
-			if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-				b.Fatal(err)
-			}
-			analysis := profile.Analyze(app.Prog)
-			region, ok := profile.HotRegion(app.Prog, analysis, prof)
 			if !ok {
 				b.Fatalf("%s: no replayable hot region", name)
 			}
+			analysis, region := located.Analysis, located.Region
 			start := time.Now()
 			pts.Attach(analysis.Effects)
 			analysisMs := time.Since(start).Seconds() * 1000
@@ -750,7 +723,7 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 			base, _ := lir.Preset("O1")
 			opt := base
 			opt.Passes = append(append([]lir.PassSpec{}, base.Passes...), aliasSpecs...)
-			chk := tv.NewChecker(tv.Options{Strict: true})
+			chk := tv.NewChecker(tv.Options{})
 			optChecked := opt
 			optChecked.Check = chk
 			optChecked.CheckEach = true
@@ -769,10 +742,10 @@ func BenchmarkAliasAnalysis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if row.CyclesBase, err = runProgram(app, baseAll); err != nil {
+			if _, row.CyclesBase, err = runWhole(app, baseAll); err != nil {
 				b.Fatal(err)
 			}
-			if row.CyclesOpt, err = runProgram(app, optAll); err != nil {
+			if _, row.CyclesOpt, err = runWhole(app, optAll); err != nil {
 				b.Fatal(err)
 			}
 			row.CycleDeltaPct = (float64(row.CyclesOpt)/float64(row.CyclesBase) - 1) * 100
@@ -959,7 +932,7 @@ func BenchmarkTranslationValidation(b *testing.B) {
 					b.Fatal(err)
 				}
 				plainMs := time.Since(start).Seconds() * 1000
-				chk := tv.NewChecker(tv.Options{Strict: true})
+				chk := tv.NewChecker(tv.Options{})
 				cfg.Check = chk
 				cfg.CheckEach = true
 				start = time.Now()

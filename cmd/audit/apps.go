@@ -6,10 +6,9 @@ import (
 	"io"
 	"strings"
 
-	"replayopt/internal/aot"
 	"replayopt/internal/apps"
+	"replayopt/internal/core"
 	"replayopt/internal/dex"
-	"replayopt/internal/profile"
 	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
 	"replayopt/internal/sa/vra"
@@ -128,32 +127,23 @@ func runAlias(e *env, args []string) int {
 	}, printAlias)
 }
 
-// profiledStatic builds the app, profiles one online run to locate the hot
-// region exactly as the optimizer's prepare stage does, and returns the
-// static analysis with the hot region's methods (nil when it has none).
+// profiledStatic builds the app, locates its hot region exactly as the
+// optimizer's prepare stage does, and returns the static analysis with the
+// hot region's methods (nil when it has none).
 func profiledStatic(spec apps.Spec) (*sa.Result, []dex.MethodID, error) {
 	app, err := apps.Build(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	android, err := aot.Compile(app.Prog)
+	p, ok, err := new(core.Optimizer).LocateHotRegion(app)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: baseline compile: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	prof := profile.NewProfile()
-	_, x := app.NewProcessAndExec(android)
-	x.SamplePeriod = profile.SamplePeriodCycles
-	x.Sampler = prof
-	x.MaxCycles = 50_000_000_000
-	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-		return nil, nil, fmt.Errorf("%s: profiling run: %w", spec.Name, err)
-	}
-	analysis := profile.Analyze(app.Prog)
 	var hot []dex.MethodID
-	if region, ok := profile.HotRegion(app.Prog, analysis, prof); ok {
-		hot = region.Methods
+	if ok {
+		hot = p.Region.Methods
 	}
-	return analysis.Effects, hot, nil
+	return p.Analysis.Effects, hot, nil
 }
 
 func printEffects(w io.Writer, rep *sa.Report, methodFilter string, summaryOnly bool) {

@@ -55,7 +55,7 @@ func runTV(e *env, args []string) int {
 				if !ok {
 					return e.fail(2, "unknown preset %q", preset)
 				}
-				chk := tv.NewChecker(tv.Options{Strict: true})
+				chk := tv.NewChecker(tv.Options{})
 				cfg.Check = chk
 				cfg.CheckEach = true
 				if _, err := lir.Compile(app.Prog, nil, cfg, nil, nil); err != nil {

@@ -320,7 +320,7 @@ func runBisect(args []string, jsonOut bool) {
 
 	bad := func(enabled func(seq int) bool) bool {
 		probe := cfg
-		probe.Check = tv.NewChecker(tv.Options{Reject: true, Strict: true})
+		probe.Check = tv.NewChecker(tv.Options{Reject: true})
 		_, _, cerr := rtrace.CompileMasked(app.Prog, methods, probe, prof, static, enabled)
 		var rej *tv.RejectError
 		return errors.As(cerr, &rej)

@@ -35,7 +35,6 @@ import (
 	"replayopt/internal/profile"
 	"replayopt/internal/replay"
 	"replayopt/internal/rt"
-	"replayopt/internal/sa"
 	"replayopt/internal/sa/pts"
 	"replayopt/internal/sa/vra"
 	"replayopt/internal/stats"
@@ -54,10 +53,16 @@ type App struct {
 	NativeSeed uint64
 }
 
-// NewProcessAndExec builds a fresh online process running app under code.
+// onlineMaxCycles caps every online run: far above any app's whole-program
+// run, it only stops a runaway binary.
+const onlineMaxCycles = 50_000_000_000
+
+// NewProcessAndExec builds a fresh online process running app under code,
+// its executor capped at onlineMaxCycles.
 func (a *App) NewProcessAndExec(code *machine.Program) (*rt.Process, *machine.Exec) {
 	proc := rt.NewProcess(a.Prog, a.RTConfig)
 	x := machine.NewExec(proc, code)
+	x.MaxCycles = onlineMaxCycles
 	ns := interp.NewNativeState(a.NativeSeed)
 	ns.Inputs = append([]int64(nil), a.Inputs...)
 	x.Fallback.Natives = interp.BindNatives(a.Prog, ns)
@@ -150,8 +155,9 @@ type Report struct {
 	Lock *rtrace.Lock
 
 	// installed is the code image actually installed (the winner, or the
-	// baseline when KeptBaseline); OptimizeMulti cross-validates it.
-	installed *machine.Program
+	// baseline when KeptBaseline); OptimizeMulti cross-validates it against
+	// the baseline image android.
+	installed, android *machine.Program
 }
 
 // Optimizer runs the pipeline.
@@ -171,7 +177,8 @@ func New(opts Options) *Optimizer {
 
 // Prepared bundles the pipeline state after profiling, capture, and
 // verification (steps 1-4): everything needed to evaluate optimization
-// decisions by replay. The experiment harness uses it directly.
+// decisions by replay (the Fig. 6 main loop). The experiment harness uses it
+// directly.
 type Prepared struct {
 	App      *App
 	Region   profile.Region
@@ -191,12 +198,26 @@ type Prepared struct {
 	O3Eval        ga.Evaluation
 	O3Cycles      uint64
 
-	ev *replayEvaluator
+	// o supplies the device, store and options every evaluation uses, and
+	// maxCycles is a candidate replay's runtime-timeout budget.
+	o         *Optimizer
+	maxCycles uint64
+	// tvcheck attaches a fresh translation-validation checker to every
+	// candidate compile (Options.TVCheck).
+	tvcheck bool
+	// obsParent, when set (serially, before evaluations fan out), parents
+	// the per-discard audit spans under the search span.
+	obsParent *obs.Span
+	// templates caches the restored spaces bound workerSets clone from, and
+	// idle holds released workerSets for reuse across evaluation batches.
+	templates *replay.TemplateCache
+	mu        sync.Mutex
+	idle      []*workerSet
 }
 
 // Evaluate implements ga.Evaluator: compile the region under cfg, replay the
 // capture, verify, and time it, restoring the snapshot for every replay.
-func (p *Prepared) Evaluate(cfg lir.Config) ga.Evaluation { return p.ev.evaluate(cfg, nil) }
+func (p *Prepared) Evaluate(cfg lir.Config) ga.Evaluation { return p.evaluate(cfg, nil) }
 
 // BindWorker implements ga.WorkerBinder: it hands each search worker
 // goroutine a workerSet of warm replay workers. The post-restore address
@@ -206,15 +227,28 @@ func (p *Prepared) Evaluate(cfg lir.Config) ga.Evaluation { return p.ev.evaluate
 // what Evaluate (the cold path, which restores per run) returns: traces and
 // reports are byte-identical either way. A search that should replay cold
 // hides this method by wrapping p as struct{ ga.Evaluator }{p}.
-func (p *Prepared) BindWorker() ga.Evaluator { return p.ev.bindWorker() }
+func (p *Prepared) BindWorker() ga.Evaluator {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.idle); n > 0 {
+		ws := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		return ws
+	}
+	return &workerSet{p: p, w: map[int64]*replay.Worker{}}
+}
 
 // ReleaseWorker returns a bound workerSet to the idle pool so later
 // generations (and the hill climb) reuse its warm spaces.
-func (p *Prepared) ReleaseWorker(e ga.Evaluator) { p.ev.releaseWorker(e) }
+func (p *Prepared) ReleaseWorker(e ga.Evaluator) {
+	p.mu.Lock()
+	p.idle = append(p.idle, e.(*workerSet))
+	p.mu.Unlock()
+}
 
 // EvaluateImage measures a complete code image by replay.
 func (p *Prepared) EvaluateImage(code *machine.Program) (ga.Evaluation, uint64) {
-	ie := p.ev.evaluateImage(code, nil, "")
+	ie := p.evaluateImage(code, nil, "")
 	return ie.Evaluation, ie.cycles
 }
 
@@ -244,8 +278,8 @@ func (p *Prepared) TraceRegion(seed int64, cfg lir.Config, w *obs.JSONLWriter) (
 	} else {
 		opts.DiffLines = rtrace.DefaultDiffLines
 	}
-	if p.ev.tvcheck {
-		chk := tv.NewChecker(tv.Options{Reject: true, Strict: true})
+	if p.tvcheck {
+		chk := tv.NewChecker(tv.Options{Reject: true})
 		cfg.Check = chk
 		opts.Checker = chk
 	}
@@ -268,6 +302,35 @@ func (p *Prepared) TraceRegion(seed int64, cfg lir.Config, w *obs.JSONLWriter) (
 	return rtrace.BuildLock(p.App.Name, cfg, img, rec.Fired()), nil
 }
 
+// LocateHotRegion runs pipeline steps 1-2 (§3.1): it compiles app with the
+// baseline compiler, profiles one online run of that image at
+// profile.SamplePeriodCycles, analyses the program (the boolean blocklist
+// under Options.LegacyBlocklist, the effect analysis otherwise) and picks the
+// hot region by Algorithm 1. The returned Prepared holds only App, Android,
+// Profile, Analysis and Region; ok is false when the app has no replayable
+// hot region.
+func (o *Optimizer) LocateHotRegion(app *App) (p *Prepared, ok bool, err error) {
+	android, err := aot.Compile(app.Prog)
+	if err != nil {
+		return nil, false, fmt.Errorf("core: baseline compile: %w", err)
+	}
+	prof := profile.NewProfile()
+	_, x := app.NewProcessAndExec(android)
+	x.SamplePeriod = profile.SamplePeriodCycles
+	x.Sampler = prof
+	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
+		return nil, false, fmt.Errorf("core: online profiling run: %w", err)
+	}
+	p = &Prepared{App: app, Android: android, Profile: prof}
+	if o.Opts.LegacyBlocklist {
+		p.Analysis = profile.AnalyzeBlocklist(app.Prog)
+	} else {
+		p.Analysis = profile.Analyze(app.Prog)
+	}
+	p.Region, ok = profile.HotRegion(app.Prog, p.Analysis, prof)
+	return p, ok, nil
+}
+
 // Prepare runs pipeline steps 1-5: profile, detect, capture, verify, and
 // measure the two baselines.
 func (o *Optimizer) Prepare(app *App) (*Prepared, error) {
@@ -285,32 +348,19 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 		}
 		prep.End()
 	}()
-	p = &Prepared{App: app}
-
-	android, err := aot.Compile(app.Prog)
-	if err != nil {
-		return nil, fmt.Errorf("core: baseline compile: %w", err)
-	}
-	p.Android = android
 
 	// 1) Online profiling run, 2) hot region + breakdown.
 	sp := prep.Start("profile")
-	prof := profile.NewProfile()
-	_, x := app.NewProcessAndExec(android)
-	x.SamplePeriod = profile.SamplePeriodCycles
-	x.Sampler = prof
-	x.MaxCycles = 50_000_000_000
-	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
+	p, ok, err := o.LocateHotRegion(app)
+	if err != nil {
 		sp.End(obs.A("error", err.Error()))
-		return nil, fmt.Errorf("core: online profiling run: %w", err)
+		return nil, err
 	}
-	p.Profile = prof
-
-	if o.Opts.LegacyBlocklist {
-		p.Analysis = profile.AnalyzeBlocklist(app.Prog)
-	} else {
-		p.Analysis = profile.Analyze(app.Prog)
+	if !ok {
+		sp.End(obs.A("error", "no replayable hot region"))
+		return nil, fmt.Errorf("core: %s has no replayable hot region", app.Name)
 	}
+	region, android := p.Region, p.Android
 	if eff := p.Analysis.Effects; eff != nil {
 		// Interprocedural value-range and points-to summaries for the lir
 		// range and memory passes. Both are pure functions of the program,
@@ -319,13 +369,7 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 		vra.Attach(eff)
 		pts.Attach(eff)
 	}
-	region, ok := profile.HotRegion(app.Prog, p.Analysis, prof)
-	if !ok {
-		sp.End(obs.A("error", "no replayable hot region"))
-		return nil, fmt.Errorf("core: %s has no replayable hot region", app.Name)
-	}
-	p.Region = region
-	p.Breakdown = profile.Classify(app.Prog, p.Analysis, prof, region)
+	p.Breakdown = profile.Classify(app.Prog, p.Analysis, p.Profile, region)
 	attrs := []obs.Attr{
 		obs.A("region_root", app.Prog.Methods[region.Root].Name),
 		obs.A("region_methods", len(region.Methods)),
@@ -378,17 +422,13 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 
 	// 5) Baselines at region level.
 	sp = prep.Start("baselines")
-	p.ev = &replayEvaluator{
-		o: o, app: app, snap: snap, vmap: vmap, prof: typeProf,
-		static: p.Analysis.Effects, region: region, android: android,
-		tvcheck: o.Opts.TVCheck, templates: replay.NewTemplateCache(),
-	}
-	andEval := p.ev.evaluateImage(android, nil, "")
+	p.o, p.tvcheck, p.templates = o, o.Opts.TVCheck, replay.NewTemplateCache()
+	andEval := p.evaluateImage(android, nil, "")
 	if andEval.Outcome.Failed() {
 		sp.End(obs.A("error", "baseline failed its own replay"))
 		return nil, fmt.Errorf("core: baseline failed its own replay: %s", andEval.Outcome)
 	}
-	p.ev.maxCycles = andEval.cycles * 12 // runtime-timeout budget
+	p.maxCycles = andEval.cycles * 12 // runtime-timeout budget
 	p.AndroidEval = andEval.Evaluation
 	p.AndroidCycles = andEval.cycles
 
@@ -397,7 +437,7 @@ func (o *Optimizer) prepare(app *App, parent *obs.Span) (p *Prepared, err error)
 		sp.End(obs.A("error", err.Error()))
 		return nil, fmt.Errorf("core: -O3 compile: %w", err)
 	}
-	o3Eval := p.ev.evaluateImage(o3Code, nil, "")
+	o3Eval := p.evaluateImage(o3Code, nil, "")
 	if o3Eval.Outcome.Failed() {
 		sp.End(obs.A("error", "-O3 failed verification"))
 		return nil, fmt.Errorf("core: -O3 failed verification: %s", o3Eval.Outcome)
@@ -435,10 +475,10 @@ func (o *Optimizer) Optimize(app *App) (rep *Report, err error) {
 	gaOpts.BaselineAndroidMs = rep.AndroidRegionMs
 	gaOpts.BaselineO3Ms = rep.O3RegionMs
 	gaOpts.Obs = search
-	p.ev.obsParent = search
+	p.obsParent = search
 	rng := rand.New(rand.NewSource(o.Opts.Seed*7919 + int64(len(app.Name))))
 	rep.Search = ga.Search(rng, p, gaOpts)
-	p.ev.obsParent = nil
+	p.obsParent = nil
 	rep.SearchStats = rep.Search.Stats
 	rep.Best = rep.Search.Best.Decode()
 	rep.GARegionMs = rep.Search.BestEval.MeanMs
@@ -488,7 +528,7 @@ func (o *Optimizer) Optimize(app *App) (rep *Report, err error) {
 		install.End(obs.A("error", err.Error()))
 		return nil, err
 	}
-	rep.installed = bestCode
+	rep.installed, rep.android = bestCode, p.Android
 	rep.AndroidOnlineCycles = o.onlineCycles(app, p.Android)
 	rep.O3OnlineCycles = o.onlineCycles(app, o3Code)
 	rep.GAOnlineCycles = o.onlineCycles(app, bestCode)
@@ -506,50 +546,64 @@ func (o *Optimizer) Optimize(app *App) (rep *Report, err error) {
 	return rep, nil
 }
 
-// captureOnline runs the app online and snapshots the hot region's state at
-// its first armed entry.
+// captureOnline captures the hot region at root for Prepare: up to three
+// online runs, the last of which collects first rather than postpone.
 func (o *Optimizer) captureOnline(app *App, code *machine.Program, root dex.MethodID) (*capture.Snapshot, error) {
-	var snap *capture.Snapshot
-	var capErr error
 	for attempt := 0; attempt < 3; attempt++ {
-		_, x := app.NewProcessAndExec(code)
-		x.MaxCycles = 50_000_000_000
-		force := attempt == 2 // last resort: capture right after a collection
-		hook := &machine.CaptureHook{Method: root}
-		hook.Wrap = func(args []uint64, call func() (uint64, error)) (uint64, error) {
-			if force && x.Proc.GCImminent() {
-				// An app whose allocation clock permanently hovers below
-				// the automatic threshold would postpone forever; the
-				// scheduler requests an explicit collection and captures
-				// the next entry.
-				x.Proc.ForceGC()
-			}
-			var ret uint64
-			var runErr error
-			snap, capErr = capture.Capture(x.Proc, o.Dev, o.Store, root, args,
-				app.NativeSeed, func() error {
-					ret, runErr = call()
-					return runErr
-				})
-			if capErr == capture.ErrGCPostponed {
-				// Run the region normally and try again at its next entry.
-				hook.Rearm()
-				return call()
-			}
-			return ret, runErr
+		snaps, capErr, runErr := o.captureRun(app, code, root, 1, attempt == 2)
+		if runErr != nil {
+			return nil, fmt.Errorf("core: online capture run: %w", runErr)
 		}
-		x.Hook = hook
-		if _, err := x.Call(app.Prog.Entry, nil); err != nil {
-			return nil, fmt.Errorf("core: online capture run: %w", err)
+		if len(snaps) > 0 {
+			return snaps[0], nil
 		}
-		if snap != nil {
-			return snap, nil
-		}
-		if capErr != nil && capErr != capture.ErrGCPostponed {
+		if capErr != nil {
 			return nil, capErr
 		}
 	}
 	return nil, fmt.Errorf("core: capture kept being postponed for %s", app.Name)
+}
+
+// captureRun makes one online run of app under code and captures the region
+// at root at each of its first n captured entries (§3.2). An entry whose
+// capture an imminent GC postpones runs normally and re-arms the hook; with
+// force, the run collects before such an entry instead, so it captures. A
+// capture that fails for any other reason ends capturing and is returned as
+// capErr; runErr is the run's own error.
+func (o *Optimizer) captureRun(app *App, code *machine.Program, root dex.MethodID, n int, force bool) (snaps []*capture.Snapshot, capErr, runErr error) {
+	_, x := app.NewProcessAndExec(code)
+	hook := &machine.CaptureHook{Method: root}
+	hook.Wrap = func(args []uint64, call func() (uint64, error)) (uint64, error) {
+		if force && x.Proc.GCImminent() {
+			// An app whose allocation clock permanently hovers below the
+			// automatic threshold would postpone forever; the scheduler
+			// requests an explicit collection and captures this entry.
+			x.Proc.ForceGC()
+		}
+		var ret uint64
+		var err error
+		snap, cerr := capture.Capture(x.Proc, o.Dev, o.Store, root, args,
+			app.NativeSeed, func() error {
+				ret, err = call()
+				return err
+			})
+		switch {
+		case cerr == capture.ErrGCPostponed:
+			hook.Rearm()
+			return call()
+		case cerr != nil:
+			capErr = cerr
+		default:
+			snaps = append(snaps, snap)
+			if len(snaps) < n {
+				hook.Rearm()
+			}
+		}
+		return ret, err
+	}
+	x.Hook = hook
+	_, runErr = x.Call(app.Prog.Entry, nil)
+	return snaps, capErr, runErr
 }
 
 // onlineCycles measures the whole program under code (§4: interactive runs
@@ -558,7 +612,6 @@ func (o *Optimizer) onlineCycles(app *App, code *machine.Program) float64 {
 	var xs []float64
 	for i := 0; i < o.Opts.OnlineRuns; i++ {
 		_, x := app.NewProcessAndExec(code)
-		x.MaxCycles = 50_000_000_000
 		if _, err := x.Call(app.Prog.Entry, nil); err != nil {
 			return 0
 		}
@@ -581,71 +634,29 @@ func overlay(base, repl *machine.Program) *machine.Program {
 	return out
 }
 
-// replayEvaluator measures genomes by replaying the captured region (Fig. 6
-// main loop).
-type replayEvaluator struct {
-	o         *Optimizer
-	app       *App
-	snap      *capture.Snapshot
-	vmap      *verify.Map
-	prof      *lir.Profile
-	static    *sa.Result
-	region    profile.Region
-	android   *machine.Program
-	maxCycles uint64
-	// tvcheck attaches a fresh translation-validation checker to every
-	// candidate compile (Options.TVCheck).
-	tvcheck bool
-	// obsParent, when set (serially, before evaluations fan out), parents
-	// the per-discard audit spans under the search span.
-	obsParent *obs.Span
-	// templates caches the restored spaces bound workerSets clone from, and
-	// idle holds released workerSets for reuse across evaluation batches.
-	templates *replay.TemplateCache
-	mu        sync.Mutex
-	idle      []*workerSet
-}
-
 // workerSet is the per-goroutine warm evaluation context: one replay.Worker
 // per canonical ASLR seed, lazily cloned from the shared template cache. It
 // is owned by a single search worker between bind and release.
 type workerSet struct {
-	ev *replayEvaluator
-	w  map[int64]*replay.Worker
+	p *Prepared
+	w map[int64]*replay.Worker
 }
 
 // Evaluate implements ga.Evaluator on the bound worker.
-func (ws *workerSet) Evaluate(cfg lir.Config) ga.Evaluation { return ws.ev.evaluate(cfg, ws) }
+func (ws *workerSet) Evaluate(cfg lir.Config) ga.Evaluation { return ws.p.evaluate(cfg, ws) }
 
 // worker returns the set's warm worker for one canonical ASLR seed.
 func (ws *workerSet) worker(seed int64) (*replay.Worker, error) {
 	if w, ok := ws.w[seed]; ok {
 		return w, nil
 	}
-	t, err := ws.ev.templates.Get(ws.ev.o.Store, ws.ev.snap, seed)
+	t, err := ws.p.templates.Get(ws.p.o.Store, ws.p.Snapshot, seed)
 	if err != nil {
 		return nil, err
 	}
 	w := t.NewWorker()
 	ws.w[seed] = w
 	return w, nil
-}
-
-func (ev *replayEvaluator) bindWorker() ga.Evaluator {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	if n := len(ev.idle); n > 0 {
-		ws := ev.idle[n-1]
-		ev.idle = ev.idle[:n-1]
-		return ws
-	}
-	return &workerSet{ev: ev, w: map[int64]*replay.Worker{}}
-}
-
-func (ev *replayEvaluator) releaseWorker(e ga.Evaluator) {
-	ev.mu.Lock()
-	ev.idle = append(ev.idle, e.(*workerSet))
-	ev.mu.Unlock()
 }
 
 // discard audits one discarded candidate: the coarse Fig. 1 outcome class
@@ -656,8 +667,8 @@ func (ev *replayEvaluator) releaseWorker(e ga.Evaluator) {
 // is the bounded pass-pipeline label of the discarded candidate (empty for
 // whole-image measurements, which have no pass pipeline of their own), so a
 // discard is attributable to its decision sequence without a full trace.
-func (ev *replayEvaluator) discard(outcome ga.Outcome, cause string, err error, passes string) {
-	sc := ev.o.Opts.Obs
+func (p *Prepared) discard(outcome ga.Outcome, cause string, err error, passes string) {
+	sc := p.o.Opts.Obs
 	if sc == nil {
 		return
 	}
@@ -675,7 +686,7 @@ func (ev *replayEvaluator) discard(outcome ga.Outcome, cause string, err error, 
 	if passes != "" {
 		attrs = append(attrs, obs.A("passes", passes))
 	}
-	sp := sc.StartUnder(ev.obsParent, "eval.discard")
+	sp := sc.StartUnder(p.obsParent, "eval.discard")
 	sp.End(attrs...)
 }
 
@@ -713,39 +724,6 @@ func passesLabel(specs []lir.PassSpec) string {
 	return truncateLabel(b.String(), 200)
 }
 
-// DiscardCause maps an evaluation error to its stable cause label. Distinct
-// failure mechanisms that share a Fig. 1 outcome class keep distinct labels:
-// a compiler crash, a compiler timeout, a lowering failure, and a
-// translation-validation rejection are all different facts about a pass
-// pipeline even though the GA treats each as "failed".
-func DiscardCause(err error) string {
-	var rej *tv.RejectError
-	var crash *lir.CrashError
-	var timeout *lir.TimeoutError
-	var mcerr *machine.CompileError
-	var trap *rt.Trap
-	var access *mem.AccessError
-	var thrown *interp.ThrownError
-	switch {
-	case errors.As(err, &rej):
-		return "tv-reject"
-	case errors.As(err, &timeout):
-		return "compile-timeout"
-	case errors.As(err, &crash):
-		return "compile-crash"
-	case errors.As(err, &mcerr):
-		return "lower-error"
-	case errors.Is(err, machine.ErrTimeout), errors.Is(err, interp.ErrTimeout):
-		return "runtime-timeout"
-	case errors.Is(err, machine.ErrStackOverflow), errors.Is(err, interp.ErrStackOverflow):
-		return "runtime-stack-overflow"
-	case errors.As(err, &trap), errors.As(err, &access), errors.As(err, &thrown):
-		return "runtime-crash"
-	default:
-		return "other"
-	}
-}
-
 func truncateLabel(s string, n int) string {
 	if len(s) <= n {
 		return s
@@ -760,28 +738,28 @@ type imageEval struct {
 
 // evaluate is the shared candidate measurement; a non-nil ws replays against
 // its warm workers instead of restoring from scratch.
-func (ev *replayEvaluator) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation {
-	if ev.tvcheck {
+func (p *Prepared) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation {
+	if p.tvcheck {
 		// A fresh checker per evaluation: Evaluate runs concurrently and a
 		// Checker serves one compile. cfg is a value copy and Fingerprint
 		// ignores harness settings, so the memo cache is unaffected.
-		cfg.Check = tv.NewChecker(tv.Options{Reject: true, Strict: true})
+		cfg.Check = tv.NewChecker(tv.Options{Reject: true})
 	}
 	var passes string
-	if ev.o.Opts.Obs != nil {
+	if p.o.Opts.Obs != nil {
 		passes = passesLabel(cfg.Passes)
 		// Nest the candidate's per-pass compile spans and latency histograms
 		// under the search span; like every obs hook this never feeds back
 		// into the measurement.
-		cfg.Obs = ev.obsParent
+		cfg.Obs = p.obsParent
 	}
-	code, err := lir.Compile(ev.app.Prog, ev.region.Methods, cfg, ev.prof, ev.static)
+	code, err := p.CompileRegion(cfg)
 	if err != nil {
-		outcome := classifyCompileError(err)
-		ev.discard(outcome, DiscardCause(err), err, passes)
+		outcome, cause := classify(err, ga.OutcomeCompilerError)
+		p.discard(outcome, cause, err, passes)
 		return ga.Evaluation{Outcome: outcome}
 	}
-	return ev.evaluateImage(overlay(ev.android, code), ws, passes).Evaluation
+	return p.evaluateImage(code, ws, passes).Evaluation
 }
 
 // evaluateImage replays a full code image: two real replays under different
@@ -798,42 +776,42 @@ func (ev *replayEvaluator) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation
 // cycle counts are layout-independent (the replay package's determinism
 // test), and every Evaluation field derives from cycles and the image hash
 // only, so warm and cold measurements are identical byte for byte.
-func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, passes string) imageEval {
-	imgHash := hashImage(code)
+func (p *Prepared) evaluateImage(code *machine.Program, ws *workerSet, passes string) imageEval {
+	imgHash := machine.HashProgram(code)
 	run := func(seed int64) (*replay.Result, error) {
 		req := replay.Request{
-			Snapshot:  ev.snap,
-			Prog:      ev.app.Prog,
+			Snapshot:  p.Snapshot,
+			Prog:      p.App.Prog,
 			Tier:      replay.TierCompiled,
 			Code:      code,
-			MaxCycles: ev.maxCycles,
+			MaxCycles: p.maxCycles,
 		}
 		if ws != nil {
 			w, err := ws.worker(seed)
 			if err == nil {
 				req.Worker = w
-				return replay.Run(ev.o.Dev, ev.o.Store, req)
+				return replay.Run(p.o.Dev, p.o.Store, req)
 			}
 			// Template build failed: fall back to the cold path (the same
 			// failure would surface deterministically there too).
 		}
 		req.ASLRSeed = int64(imgHash>>1)*131 + seed
-		return replay.Run(ev.o.Dev, ev.o.Store, req)
+		return replay.Run(p.o.Dev, p.o.Store, req)
 	}
 	res, err := run(1)
 	if err != nil {
-		outcome := classifyRuntimeError(err)
-		ev.discard(outcome, DiscardCause(err), err, passes)
+		outcome, cause := classify(err, ga.OutcomeRuntimeCrash)
+		p.discard(outcome, cause, err, passes)
 		return imageEval{Evaluation: ga.Evaluation{Outcome: outcome}}
 	}
-	if err := ev.vmap.Check(res); err != nil {
-		ev.discard(ga.OutcomeWrongOutput, "verify-mismatch", err, passes)
+	if err := p.VMap.Check(res); err != nil {
+		p.discard(ga.OutcomeWrongOutput, "verify-mismatch", err, passes)
 		return imageEval{Evaluation: ga.Evaluation{Outcome: ga.OutcomeWrongOutput}}
 	}
 	// Replays under a second ASLR layout must agree cycle-for-cycle;
 	// clearly losing binaries skip the cross-check (they are never
 	// installed, and re-running a near-timeout binary doubles its cost).
-	if ev.maxCycles == 0 || res.Cycles*4 <= ev.maxCycles {
+	if p.maxCycles == 0 || res.Cycles*4 <= p.maxCycles {
 		res2, err := run(2)
 		if err != nil || res2.Cycles != res.Cycles {
 			// Nondeterministic candidate: treat as wrong output.
@@ -841,16 +819,16 @@ func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, p
 				err = fmt.Errorf("nondeterministic: %d cycles under the second ASLR layout, %d under the first",
 					res2.Cycles, res.Cycles)
 			}
-			ev.discard(ga.OutcomeWrongOutput, "nondeterministic", err, passes)
+			p.discard(ga.OutcomeWrongOutput, "nondeterministic", err, passes)
 			return imageEval{Evaluation: ga.Evaluation{Outcome: ga.OutcomeWrongOutput}}
 		}
 	}
-	n := ev.o.Opts.Replays
+	n := p.o.Opts.Replays
 	if n <= 0 {
 		n = 10
 	}
 	times := make([]float64, n)
-	nrng := rand.New(rand.NewSource(ev.o.Opts.Seed ^ int64(imgHash)))
+	nrng := rand.New(rand.NewSource(p.o.Opts.Seed ^ int64(imgHash)))
 	for i := range times {
 		times[i] = device.ReplayMillisSeeded(res.Cycles, nrng)
 	}
@@ -867,39 +845,37 @@ func (ev *replayEvaluator) evaluateImage(code *machine.Program, ws *workerSet, p
 	}
 }
 
-func classifyCompileError(err error) ga.Outcome {
+// classify maps an evaluation error to its Fig. 1 outcome class and its
+// stable cause label. Distinct failure mechanisms that share an outcome keep
+// distinct labels: a compiler crash, a lowering failure and a
+// translation-validation rejection are different facts about a pass pipeline
+// even though the GA treats each as "failed". Only an unrecognized error
+// depends on where it arose: it takes the fallback outcome, compiler-error
+// for a compile and runtime-crash for a replay.
+func classify(err error, fallback ga.Outcome) (ga.Outcome, string) {
 	var rej *tv.RejectError
 	var crash *lir.CrashError
 	var timeout *lir.TimeoutError
 	var mcerr *machine.CompileError
-	switch {
-	case errors.As(err, &rej):
-		return ga.OutcomeTVReject
-	case errors.As(err, &timeout):
-		return ga.OutcomeCompilerTimeout
-	case errors.As(err, &crash), errors.As(err, &mcerr):
-		return ga.OutcomeCompilerError
-	default:
-		return ga.OutcomeCompilerError
-	}
-}
-
-func classifyRuntimeError(err error) ga.Outcome {
 	var trap *rt.Trap
 	var access *mem.AccessError
 	var thrown *interp.ThrownError
 	switch {
+	case errors.As(err, &rej):
+		return ga.OutcomeTVReject, "tv-reject"
+	case errors.As(err, &timeout):
+		return ga.OutcomeCompilerTimeout, "compile-timeout"
+	case errors.As(err, &crash):
+		return ga.OutcomeCompilerError, "compile-crash"
+	case errors.As(err, &mcerr):
+		return ga.OutcomeCompilerError, "lower-error"
 	case errors.Is(err, machine.ErrTimeout), errors.Is(err, interp.ErrTimeout):
-		return ga.OutcomeRuntimeTimeout
-	case errors.As(err, &trap), errors.As(err, &access), errors.As(err, &thrown),
-		errors.Is(err, machine.ErrStackOverflow), errors.Is(err, interp.ErrStackOverflow):
-		return ga.OutcomeRuntimeCrash
+		return ga.OutcomeRuntimeTimeout, "runtime-timeout"
+	case errors.Is(err, machine.ErrStackOverflow), errors.Is(err, interp.ErrStackOverflow):
+		return ga.OutcomeRuntimeCrash, "runtime-stack-overflow"
+	case errors.As(err, &trap), errors.As(err, &access), errors.As(err, &thrown):
+		return ga.OutcomeRuntimeCrash, "runtime-crash"
 	default:
-		return ga.OutcomeRuntimeCrash
+		return fallback, "other"
 	}
 }
-
-// hashImage fingerprints generated code for the identical-binaries halt; the
-// digest is machine.HashProgram's, shared with the rtrace replayer's
-// fingerprint-identity proof.
-func hashImage(code *machine.Program) uint64 { return machine.HashProgram(code) }

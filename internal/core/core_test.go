@@ -2,14 +2,18 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"replayopt/internal/ga"
+	"replayopt/internal/interp"
 	"replayopt/internal/lir"
+	"replayopt/internal/lir/tv"
 	"replayopt/internal/machine"
+	"replayopt/internal/mem"
 	"replayopt/internal/minic"
 	"replayopt/internal/profile"
 	"replayopt/internal/rt"
@@ -263,37 +267,8 @@ func TestPipelineWarmMatchesColdAcrossParallelism(t *testing.T) {
 	}
 }
 
-func TestEvaluatorOutcomeClassification(t *testing.T) {
-	prog, err := minic.CompileSource("miniapp", appSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := smallOptions()
-	opt := New(opts)
-	app := &App{Name: "miniapp", Prog: prog}
-
-	// Build the pieces manually up to the evaluator.
-	rep, err := opt.Optimize(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = rep
-	// Classification coverage is exercised via the ga package; here we only
-	// check the classifier functions directly.
-	if classifyCompileError(errTest{}) != ga.OutcomeCompilerError {
-		t.Error("unknown compile errors must classify as compiler error")
-	}
-	if classifyRuntimeError(errTest{}) != ga.OutcomeRuntimeCrash {
-		t.Error("unknown runtime errors must classify as crash")
-	}
-}
-
-type errTest struct{}
-
-func (errTest) Error() string { return "x" }
-
 // TestHashImageDistinguishesBinaries: the identical-binary halt rests on
-// hashImage fingerprinting code exactly — identical code hashes equal,
+// machine.HashProgram fingerprinting code exactly — identical code hashes equal,
 // any field change hashes different.
 func TestHashImageDistinguishesBinaries(t *testing.T) {
 	mk := func() *machine.Program {
@@ -305,16 +280,16 @@ func TestHashImageDistinguishesBinaries(t *testing.T) {
 		return p
 	}
 	a, b := mk(), mk()
-	if hashImage(a) != hashImage(b) {
+	if machine.HashProgram(a) != machine.HashProgram(b) {
 		t.Fatal("identical programs hash differently")
 	}
 	b.Fns[1].Code[0].Imm = 41
-	if hashImage(a) == hashImage(b) {
+	if machine.HashProgram(a) == machine.HashProgram(b) {
 		t.Fatal("changed immediate not reflected in hash")
 	}
 	c := mk()
 	c.Fns[2] = c.Fns[1] // extra function
-	if hashImage(a) == hashImage(c) {
+	if machine.HashProgram(a) == machine.HashProgram(c) {
 		t.Fatal("extra function not reflected in hash")
 	}
 }
@@ -343,22 +318,40 @@ func TestOverlayPrefersReplacement(t *testing.T) {
 	}
 }
 
-// TestClassifyErrors maps each substrate failure to the Fig. 1 outcome the
-// paper's taxonomy assigns it.
+// TestClassifyErrors maps each substrate failure, bare and wrapped the way
+// lir.Compile and replay wrap it, to the Fig. 1 outcome the paper's taxonomy
+// assigns it and to its stable core.discard_causes label. Only an
+// unrecognized error depends on the phase.
 func TestClassifyErrors(t *testing.T) {
-	if got := classifyCompileError(&lir.TimeoutError{}); got != ga.OutcomeCompilerTimeout {
-		t.Errorf("compile timeout -> %v", got)
-	}
-	if got := classifyCompileError(&lir.CrashError{}); got != ga.OutcomeCompilerError {
-		t.Errorf("compiler crash -> %v", got)
-	}
-	if got := classifyRuntimeError(machine.ErrTimeout); got != ga.OutcomeRuntimeTimeout {
-		t.Errorf("runtime timeout -> %v", got)
-	}
-	if got := classifyRuntimeError(&rt.Trap{Kind: rt.TrapBounds}); got != ga.OutcomeRuntimeCrash {
-		t.Errorf("bounds trap -> %v", got)
-	}
-	if got := classifyRuntimeError(machine.ErrStackOverflow); got != ga.OutcomeRuntimeCrash {
-		t.Errorf("stack overflow -> %v", got)
+	compiling := func(err error) error { return fmt.Errorf("compiling %s: %w", "Main.kernel", err) }
+	replaying := func(err error) error { return fmt.Errorf("replay: %w", err) }
+	const atCompile, atReplay = ga.OutcomeCompilerError, ga.OutcomeRuntimeCrash
+	for _, c := range []struct {
+		name    string
+		err     error
+		phase   ga.Outcome // the fallback: compiler-error at compile, runtime-crash at replay
+		outcome ga.Outcome
+		cause   string
+	}{
+		{"tv reject", compiling(&tv.RejectError{Pass: "gvn", Fn: "f"}), atCompile, ga.OutcomeTVReject, "tv-reject"},
+		{"compile timeout", &lir.TimeoutError{}, atCompile, ga.OutcomeCompilerTimeout, "compile-timeout"},
+		{"wrapped compile timeout", compiling(&lir.TimeoutError{Pass: "pipeline"}), atCompile, ga.OutcomeCompilerTimeout, "compile-timeout"},
+		{"compiler crash", &lir.CrashError{}, atCompile, ga.OutcomeCompilerError, "compile-crash"},
+		{"wrapped compiler crash", compiling(&lir.CrashError{Pass: "licm"}), atCompile, ga.OutcomeCompilerError, "compile-crash"},
+		{"lowering failure", compiling(&machine.CompileError{Msg: "ran out of registers"}), atCompile, ga.OutcomeCompilerError, "lower-error"},
+		{"unknown compile error", errors.New("x"), atCompile, ga.OutcomeCompilerError, "other"},
+		{"machine timeout", machine.ErrTimeout, atReplay, ga.OutcomeRuntimeTimeout, "runtime-timeout"},
+		{"interpreter timeout", replaying(interp.ErrTimeout), atReplay, ga.OutcomeRuntimeTimeout, "runtime-timeout"},
+		{"machine stack overflow", machine.ErrStackOverflow, atReplay, ga.OutcomeRuntimeCrash, "runtime-stack-overflow"},
+		{"interpreter stack overflow", replaying(interp.ErrStackOverflow), atReplay, ga.OutcomeRuntimeCrash, "runtime-stack-overflow"},
+		{"bounds trap", &rt.Trap{Kind: rt.TrapBounds}, atReplay, ga.OutcomeRuntimeCrash, "runtime-crash"},
+		{"access fault", replaying(&mem.AccessError{Addr: 0x10}), atReplay, ga.OutcomeRuntimeCrash, "runtime-crash"},
+		{"uncaught exception", replaying(&interp.ThrownError{Method: "Main.run"}), atReplay, ga.OutcomeRuntimeCrash, "runtime-crash"},
+		{"unknown runtime error", errors.New("x"), atReplay, ga.OutcomeRuntimeCrash, "other"},
+	} {
+		outcome, cause := classify(c.err, c.phase)
+		if outcome != c.outcome || cause != c.cause {
+			t.Errorf("%s: classify = (%v, %q), want (%v, %q)", c.name, outcome, cause, c.outcome, c.cause)
+		}
 	}
 }

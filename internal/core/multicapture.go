@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 
-	"replayopt/internal/aot"
 	"replayopt/internal/capture"
 	"replayopt/internal/dex"
 	"replayopt/internal/machine"
@@ -29,32 +28,8 @@ func (o *Optimizer) CaptureMulti(app *App, code *machine.Program, root dex.Metho
 	if n < 1 {
 		n = 1
 	}
-	var snaps []*capture.Snapshot
-	_, x := app.NewProcessAndExec(code)
-	x.MaxCycles = 50_000_000_000
-	hook := &machine.CaptureHook{Method: root}
-	hook.Wrap = func(args []uint64, call func() (uint64, error)) (uint64, error) {
-		var ret uint64
-		var runErr error
-		snap, err := capture.Capture(x.Proc, o.Dev, o.Store, root, args,
-			app.NativeSeed, func() error {
-				ret, runErr = call()
-				return runErr
-			})
-		if err == capture.ErrGCPostponed {
-			hook.Rearm()
-			return call()
-		}
-		if err == nil && snap != nil {
-			snaps = append(snaps, snap)
-			if len(snaps) < n {
-				hook.Rearm()
-			}
-		}
-		return ret, runErr
-	}
-	x.Hook = hook
-	if _, err := x.Call(app.Prog.Entry, nil); err != nil {
+	snaps, _, err := o.captureRun(app, code, root, n, false)
+	if err != nil {
 		return nil, fmt.Errorf("core: multi-capture run: %w", err)
 	}
 	if len(snaps) == 0 {
@@ -148,15 +123,11 @@ func (o *Optimizer) OptimizeMulti(app *App, extraCaptures int) (*Report, *CrossV
 	if rep.KeptBaseline {
 		return rep, &CrossValidation{}, nil
 	}
-	android, err := aot.Compile(app.Prog)
+	snaps, err := o.CaptureMulti(app, rep.android, rep.Region.Root, extraCaptures)
 	if err != nil {
 		return nil, nil, err
 	}
-	snaps, err := o.CaptureMulti(app, android, rep.Region.Root, extraCaptures)
-	if err != nil {
-		return nil, nil, err
-	}
-	cv, err := o.CrossValidate(app, android, rep.installed, snaps)
+	cv, err := o.CrossValidate(app, rep.android, rep.installed, snaps)
 	if err != nil {
 		return nil, nil, err
 	}

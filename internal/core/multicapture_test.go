@@ -4,10 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"replayopt/internal/aot"
 	"replayopt/internal/lir"
 	"replayopt/internal/minic"
-	"replayopt/internal/profile"
 )
 
 func prepareMulti(t *testing.T) (*Optimizer, *App, *Prepared) {
@@ -30,11 +28,7 @@ func prepareMulti(t *testing.T) (*Optimizer, *App, *Prepared) {
 // evolving state (ticks advances between entries).
 func TestCaptureMultiCollectsDistinctEntries(t *testing.T) {
 	opt, app, p := prepareMulti(t)
-	android, err := aot.Compile(app.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := opt.CaptureMulti(app, android, p.Region.Root, 3)
+	snaps, err := opt.CaptureMulti(app, p.Android, p.Region.Root, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +70,7 @@ func TestCaptureMultiCollectsDistinctEntries(t *testing.T) {
 // verification on every held-out snapshot and report plausible speedups.
 func TestCrossValidateAcceptsCorrectBinary(t *testing.T) {
 	opt, app, p := prepareMulti(t)
-	android, err := aot.Compile(app.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := opt.CaptureMulti(app, android, p.Region.Root, 3)
+	snaps, err := opt.CaptureMulti(app, p.Android, p.Region.Root, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +78,7 @@ func TestCrossValidateAcceptsCorrectBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := opt.CrossValidate(app, android, o2, snaps)
+	cv, err := opt.CrossValidate(app, p.Android, o2, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +126,8 @@ func main() int {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	android, err := aot.Compile(app.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Capture several entries: n = 686 (divisible by 7), 687, 688, ...
-	snaps, err := opt.CaptureMulti(app, android, p.Region.Root, 4)
+	snaps, err := opt.CaptureMulti(app, p.Android, p.Region.Root, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +141,7 @@ func main() int {
 	if err != nil {
 		t.Skipf("unsafe unroll did not compile: %v", err)
 	}
-	cv, err := opt.CrossValidate(app, android, bad, snaps)
+	cv, err := opt.CrossValidate(app, p.Android, bad, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +179,6 @@ func TestOptimizeMultiEndToEnd(t *testing.T) {
 	} else if rep.RegionSpeedupGA != 1.0 {
 		t.Errorf("kept baseline but region speedup is %.3f", rep.RegionSpeedupGA)
 	}
-	_ = profile.SamplePeriodCycles // keep the import honest if assertions change
 }
 
 // TestScheduleSearchUnderPolicy: the §3.7 policy must fit the mini app's

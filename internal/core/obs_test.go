@@ -127,7 +127,7 @@ func TestObsPipelineSpansAndMetrics(t *testing.T) {
 
 // TestObsDiscardCausesAuditable provokes a compiler-error discard and checks
 // the cause lands in the tallies and on an eval.discard span — the fix for
-// classifyCompileError/classifyRuntimeError collapsing distinct failures.
+// a coarse outcome class collapsing distinct failures.
 func TestObsDiscardCausesAuditable(t *testing.T) {
 	prog, err := minic.CompileSource("miniapp", appSrc)
 	if err != nil {

@@ -197,7 +197,7 @@ func TestBisectPinsMiscompile(t *testing.T) {
 	// fresh strict validator; "bad" means the validator proves a miscompile.
 	bad := func(enabled func(seq int) bool) bool {
 		probe := cfg
-		probe.Check = tv.NewChecker(tv.Options{Reject: true, Strict: true})
+		probe.Check = tv.NewChecker(tv.Options{Reject: true})
 		_, _, err := CompileMasked(prog, methods, probe, nil, nil, enabled)
 		var rej *tv.RejectError
 		return errors.As(err, &rej)

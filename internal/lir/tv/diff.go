@@ -80,7 +80,7 @@ func checkOne(src, pass string, maxCycles int64) *DiffFailure {
 	if err != nil {
 		return nil // baseline itself traps or times out: no ground truth
 	}
-	chk := NewChecker(Options{Strict: true})
+	chk := NewChecker(Options{})
 	cfg := lir.O0()
 	cfg.Passes = []lir.PassSpec{{Name: pass}}
 	cfg.CheckEach = true

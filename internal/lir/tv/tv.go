@@ -66,9 +66,6 @@ type Options struct {
 	// Reject makes a Rejected verdict abort the compile with a RejectError.
 	// Off, the checker only records verdicts (`audit tv`).
 	Reject bool
-	// Strict additionally runs VerifyStrict after every pass; a violation is
-	// a Rejected verdict attributed to that pass.
-	Strict bool
 }
 
 // Checker implements lir.PipelineCheck: it snapshots the function before each
@@ -89,14 +86,13 @@ func (c *Checker) BeforePass(f *lir.Function, pass string, info *lir.PassInfo) {
 	c.snap = f.Clone()
 }
 
-// AfterPass validates the pass result against the snapshot, records the
-// verdict, and (with Opts.Reject) vetoes provable miscompiles.
+// AfterPass strict-verifies the pass result (a violation is a Rejected
+// verdict attributed to the pass), validates it against the snapshot, records
+// the verdict, and (with Opts.Reject) vetoes provable miscompiles.
 func (c *Checker) AfterPass(f *lir.Function, pass string, info *lir.PassInfo) error {
 	verdict, reason := Verified, ""
-	if c.Opts.Strict {
-		if err := VerifyStrict(f); err != nil {
-			verdict, reason = Rejected, "strict: "+err.Error()
-		}
+	if err := VerifyStrict(f); err != nil {
+		verdict, reason = Rejected, "strict: "+err.Error()
 	}
 	if verdict != Rejected && c.snap != nil {
 		var traits lir.Traits

@@ -114,7 +114,7 @@ func TestGoldenPresets(t *testing.T) {
 		}
 		for _, preset := range []string{"O1", "O2", "O3"} {
 			cfg, _ := lir.Preset(preset)
-			chk := NewChecker(Options{Strict: true})
+			chk := NewChecker(Options{})
 			cfg.Check = chk
 			cfg.CheckEach = true
 			if _, err := lir.Compile(prog, nil, cfg, nil, nil); err != nil {
@@ -163,7 +163,7 @@ func TestCheckerRejectsInPipeline(t *testing.T) {
 	}
 	cfg := lir.O0()
 	cfg.Passes = []lir.PassSpec{{Name: "constfold"}, {Name: MiscompilePassName}}
-	cfg.Check = NewChecker(Options{Strict: true, Reject: true})
+	cfg.Check = NewChecker(Options{Reject: true})
 	_, err = lir.Compile(prog, nil, cfg, nil, nil)
 	if err == nil {
 		t.Fatal("tvbreak pipeline compiled cleanly")
@@ -361,7 +361,7 @@ func TestDifferentialCleanAndCatches(t *testing.T) {
 
 // Report schema round trip.
 func TestReportValidates(t *testing.T) {
-	chk := NewChecker(Options{Strict: true})
+	chk := NewChecker(Options{})
 	prog, err := minic.CompileSource("tvtest", testSrc)
 	if err != nil {
 		t.Fatal(err)
