@@ -97,8 +97,7 @@ func TestAliasPassDifferential(t *testing.T) {
 						names[i] = p.Name
 					}
 					chk := tv.NewChecker(tv.Options{Reject: true})
-					cfg.Check = chk
-					cfg.CheckEach = true
+					cfg.Observe(chk)
 					code, err := lir.Compile(app.Prog, nil, cfg, nil, static)
 					if err != nil {
 						t.Fatalf("%s+%v compile: %v", pre.name, names, err)

@@ -56,8 +56,7 @@ func runTV(e *env, args []string) int {
 					return e.fail(2, "unknown preset %q", preset)
 				}
 				chk := tv.NewChecker(tv.Options{})
-				cfg.Check = chk
-				cfg.CheckEach = true
+				cfg.Observe(chk)
 				if _, err := lir.Compile(app.Prog, nil, cfg, nil, nil); err != nil {
 					return e.fail(1, "%s at %s: %v", spec.Name, preset, err)
 				}

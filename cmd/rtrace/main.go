@@ -301,7 +301,7 @@ func runBisect(args []string, jsonOut bool) {
 		die(err)
 	}
 	tcfg := cfg
-	tcfg.Trace = rec
+	tcfg.Observe(rec)
 	code, err := lir.Compile(app.Prog, methods, tcfg, prof, static)
 	if err != nil {
 		die(fmt.Errorf("drill compile failed before bisection: %w", err))
@@ -320,7 +320,7 @@ func runBisect(args []string, jsonOut bool) {
 
 	bad := func(enabled func(seq int) bool) bool {
 		probe := cfg
-		probe.Check = tv.NewChecker(tv.Options{Reject: true})
+		probe.Observe(tv.NewChecker(tv.Options{Reject: true}))
 		_, _, cerr := rtrace.CompileMasked(app.Prog, methods, probe, prof, static, enabled)
 		var rej *tv.RejectError
 		return errors.As(cerr, &rej)

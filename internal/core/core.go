@@ -279,15 +279,14 @@ func (p *Prepared) TraceRegion(seed int64, cfg lir.Config, w *obs.JSONLWriter) (
 		opts.DiffLines = rtrace.DefaultDiffLines
 	}
 	if p.tvcheck {
-		chk := tv.NewChecker(tv.Options{Reject: true})
-		cfg.Check = chk
-		opts.Checker = chk
+		opts.Checker = tv.NewChecker(tv.Options{Reject: true})
+		cfg.Observe(opts.Checker)
 	}
 	rec := rtrace.NewRecorder(w, opts)
 	if err := rec.WriteHeader(p.App.Name, seed, cfg, p.Region.Methods); err != nil {
 		return nil, err
 	}
-	cfg.Trace = rec
+	cfg.Observe(rec)
 	code, err := lir.Compile(p.App.Prog, p.Region.Methods, cfg, p.TypeProf, p.Analysis.Effects)
 	if err != nil {
 		return nil, fmt.Errorf("core: traced recompile: %w", err)
@@ -739,26 +738,32 @@ type imageEval struct {
 // evaluate is the shared candidate measurement; a non-nil ws replays against
 // its warm workers instead of restoring from scratch.
 func (p *Prepared) evaluate(cfg lir.Config, ws *workerSet) ga.Evaluation {
-	if p.tvcheck {
-		// A fresh checker per evaluation: Evaluate runs concurrently and a
-		// Checker serves one compile. cfg is a value copy and Fingerprint
-		// ignores harness settings, so the memo cache is unaffected.
-		cfg.Check = tv.NewChecker(tv.Options{Reject: true})
-	}
 	var passes string
 	if p.o.Opts.Obs != nil {
 		passes = passesLabel(cfg.Passes)
-		// Nest the candidate's per-pass compile spans and latency histograms
-		// under the search span; like every obs hook this never feeds back
-		// into the measurement.
-		cfg.Obs = p.obsParent
+	}
+	// Nest the candidate's compile span and per-pass metrics under the
+	// search span; like every obs hook they never feed back into the
+	// measurement. Observe leaves the caller's cfg untouched, and
+	// Fingerprint ignores observers, so the memo cache is unaffected.
+	var sp *obs.Span
+	if p.obsParent != nil {
+		cfg.Observe(lir.PassMetrics(p.obsParent.Scope()))
+		sp = p.obsParent.Start("lir.compile", obs.A("methods", len(p.Region.Methods)), obs.A("passes", len(cfg.Passes)))
+	}
+	if p.tvcheck {
+		// A fresh checker per evaluation: Evaluate runs concurrently and a
+		// Checker serves one compile.
+		cfg.Observe(tv.NewChecker(tv.Options{Reject: true}))
 	}
 	code, err := p.CompileRegion(cfg)
 	if err != nil {
+		sp.End(obs.A("error", errors.Unwrap(err).Error()))
 		outcome, cause := classify(err, ga.OutcomeCompilerError)
 		p.discard(outcome, cause, err, passes)
 		return ga.Evaluation{Outcome: outcome}
 	}
+	sp.End()
 	return p.evaluateImage(code, ws, passes).Evaluation
 }
 

@@ -127,8 +127,9 @@ type PassContext struct {
 	// (runaway unrolling/inlining). 0 means the default of 60000.
 	MaxValues int
 
-	// traceNotes enables Note collection; the pipeline sets it when a
-	// RewriteTracer is attached and drains notes after every pass.
+	// traceNotes enables Note collection for the current pass application;
+	// an observer turns it on (PassApplication.CollectNotes) and the
+	// pipeline drains and resets it after the pass.
 	traceNotes   bool
 	notes        []RewriteNote
 	notesDropped int
@@ -183,10 +184,10 @@ func NoteAnchor(b *Block, v *Value) string {
 }
 
 // drainNotes hands the collected notes (and overflow count) to the pipeline
-// and resets for the next pass application.
+// and turns collection off for the next pass application.
 func (ctx *PassContext) drainNotes() (notes []RewriteNote, dropped int) {
 	notes, dropped = ctx.notes, ctx.notesDropped
-	ctx.notes, ctx.notesDropped = nil, 0
+	ctx.notes, ctx.notesDropped, ctx.traceNotes = nil, 0, false
 	return notes, dropped
 }
 

@@ -17,56 +17,145 @@ type PassSpec struct {
 	Params map[string]int
 }
 
-// PipelineCheck observes the pipeline between passes. BeforePass sees the
-// function immediately before a pass runs; AfterPass sees the result and may
-// veto it by returning an error, which aborts the compile with that error.
-// internal/lir/tv implements this with a translation validator. The interface
-// lives here (not in tv) so lir does not import its own checker.
-type PipelineCheck interface {
-	BeforePass(f *Function, pass string, info *PassInfo)
-	AfterPass(f *Function, pass string, info *PassInfo) error
+// PassObserver watches the pass pipeline one application at a time: the
+// harness seam shared by translation validation (internal/lir/tv), rewrite
+// tracing (internal/lir/rtrace) and PassMetrics. Observers run in list order.
+// A BeforePass that returns false vetoes the application: neither the pass
+// nor any later observer's BeforePass runs. AfterPass reaches every observer,
+// vetoed applications included (Ran false), so sequence numbers stay aligned
+// with a recorded trace. An AfterPass error aborts the compile, and the
+// observers after it see it as Err: an observer that reads another's verdict
+// goes after it.
+type PassObserver interface {
+	BeforePass(a *PassApplication) bool
+	AfterPass(a *PassApplication) error
 }
 
-// RewriteTracer observes every pass application with its resolved
-// parameters — the rewrite-trace seam (internal/lir/rtrace implements it; the
-// interface lives here for the same reason PipelineCheck does). BeforePass
-// may also *veto* an application by returning false: the rtrace bisector
-// replays a trace prefix mechanically by enabling exactly the applications
-// under test. A vetoed pass is skipped entirely (no Run, no PipelineCheck),
-// and AfterPass is still delivered with ran=false so sequence numbers stay
-// aligned with the recorded trace.
-type RewriteTracer interface {
-	// BeforePass sees the function before the pass would run; returning
-	// false skips the application.
-	BeforePass(f *Function, spec PassSpec, info *PassInfo, resolved map[string]int) bool
-	// AfterPass sees the function after the pass (and any PipelineCheck
-	// verdict), the decision notes the pass emitted (with the overflow
-	// count), and the error that is about to abort the compile, if any.
-	AfterPass(f *Function, spec PassSpec, info *PassInfo, ran bool, notes []RewriteNote, dropped int, err error)
+// PassApplication is one pass application as its observers see it. Its
+// digests and notes are computed only when an observer asks, at most once,
+// and shared by all of them. Observers must not retain it.
+type PassApplication struct {
+	Fn       *Function
+	Spec     PassSpec
+	Info     *PassInfo
+	Resolved map[string]int
+	// Ran, valid in AfterPass, is false when an observer vetoed the pass.
+	Ran bool
+	// Elapsed is the pass's own run time.
+	Elapsed time.Duration
+	// Err is the error about to abort the compile: the pass's own, the IR
+	// growth cap's, or an earlier observer's.
+	Err error
+	// Notes are the pass's decision notes and Dropped their overflow count,
+	// collected only if an observer called CollectNotes in BeforePass.
+	Notes   []RewriteNote
+	Dropped int
+
+	ctx                 *PassContext
+	before, after       uint64
+	hasBefore, hasAfter bool
+}
+
+// Before returns the function's HashFunction digest before the pass. An
+// observer that reads it in AfterPass must read it in BeforePass too: once
+// the pass has run, the pre-pass function is gone.
+func (a *PassApplication) Before() uint64 {
+	if !a.hasBefore {
+		if a.Ran {
+			panic("lir: PassApplication.Before first read after the pass ran")
+		}
+		a.before, a.hasBefore = HashFunction(a.Fn), true
+	}
+	return a.before
+}
+
+// After returns the function's HashFunction digest after the pass; a vetoed
+// application's After is its Before.
+func (a *PassApplication) After() uint64 {
+	if !a.Ran {
+		return a.Before()
+	}
+	if !a.hasAfter {
+		a.after, a.hasAfter = HashFunction(a.Fn), true
+	}
+	return a.after
+}
+
+// Fired reports whether the application ran and changed the function.
+func (a *PassApplication) Fired() bool { return a.Ran && a.After() != a.Before() }
+
+// CollectNotes asks the pass to record its decision notes (PassContext.Note)
+// for this application; call it in BeforePass.
+func (a *PassApplication) CollectNotes() { a.ctx.traceNotes = true }
+
+// observe drives one application past its observers.
+func (a *PassApplication) observe(observers []PassObserver) error {
+	vetoed := false
+	for _, o := range observers {
+		if vetoed = !o.BeforePass(a); vetoed {
+			break
+		}
+	}
+	if a.Ran = !vetoed; a.Ran {
+		start := time.Now()
+		a.Err = a.Info.Run(a.Fn, a.ctx, a.Resolved)
+		a.Elapsed = time.Since(start)
+		if a.Err == nil {
+			a.Err = a.ctx.checkGrowth(a.Fn, a.Spec.Name)
+		}
+	}
+	a.Notes, a.Dropped = a.ctx.drainNotes() // also when vetoed: CollectNotes may precede the veto
+	for _, o := range observers {
+		if err := o.AfterPass(a); err != nil && a.Err == nil {
+			a.Err = err
+		}
+	}
+	return a.Err
+}
+
+// PassMetrics returns an observer that feeds sc's registry: each pass's run
+// time into the lir.pass_ms.<pass> histogram, and each application that ran
+// without error into the lir.pass_fired or lir.pass_noop tally. Place it
+// ahead of any observer whose AfterPass can fail.
+func PassMetrics(sc *obs.Scope) PassObserver { return passMetrics{sc} }
+
+type passMetrics struct{ sc *obs.Scope }
+
+func (m passMetrics) BeforePass(a *PassApplication) bool { a.Before(); return true }
+
+func (m passMetrics) AfterPass(a *PassApplication) error {
+	if !a.Ran {
+		return nil
+	}
+	m.sc.Histogram("lir.pass_ms." + a.Spec.Name).Observe(float64(a.Elapsed.Microseconds()) / 1000)
+	if a.Err == nil {
+		tally := "lir.pass_noop"
+		if a.Fired() {
+			tally = "lir.pass_fired"
+		}
+		m.sc.Tally(tally).Inc(a.Spec.Name)
+	}
+	return nil
 }
 
 // Config is one point in the toolchain's optimization space: the opt-style
 // pass sequence plus the llc-style lowering options. GA genomes decode to
-// Configs. Check, CheckEach, Trace, and Obs are evaluation-harness settings,
-// deliberately excluded from Fingerprint: they must not change which configs
-// the GA considers identical.
+// Configs. Observers is an evaluation-harness setting, deliberately excluded
+// from Fingerprint: it must not change which configs the GA considers
+// identical.
 type Config struct {
 	Passes []PassSpec
 	Lower  LowerOpts
-	// Check, when non-nil, is called around every pass application.
-	Check PipelineCheck
-	// CheckEach runs VerifyIR after every pass; a violation is reported as a
-	// CrashError attributed to the offending pass.
-	CheckEach bool
-	// Trace, when non-nil, observes (and may veto) every pass application —
-	// the rewrite-trace seam. Purely a harness setting: recording a trace
-	// never changes what the compile produces.
-	Trace RewriteTracer
-	// Obs, when non-nil, parents a per-compile span and receives per-pass
-	// latency histograms (lir.pass_ms.<pass>) and fired/no-op tallies
-	// (lir.pass_fired / lir.pass_noop) in its scope's registry. Purely
-	// observational.
-	Obs *obs.Span
+	// Observers watch (and may veto or abort) every pass application, in
+	// order. Attaching one never changes what a successful compile produces.
+	Observers []PassObserver
+}
+
+// Observe appends observers to c's list. Configs are copied by value and
+// copies share the list's backing array, so it appends into a fresh one:
+// the copy c was made from keeps its own list.
+func (c *Config) Observe(o ...PassObserver) {
+	c.Observers = append(c.Observers[:len(c.Observers):len(c.Observers)], o...)
 }
 
 // maxPipelineLength bounds genome-supplied pass sequences; longer pipelines
@@ -117,61 +206,21 @@ func CompileMethod(prog *dex.Program, id dex.MethodID, cfg Config, prof *Profile
 	if err != nil {
 		return nil, err
 	}
-	ctx := &PassContext{Profile: prof, Static: static, traceNotes: cfg.Trace != nil}
-	scope := cfg.Obs.Scope()
+	ctx := &PassContext{Profile: prof, Static: static}
 	for _, spec := range cfg.Passes {
 		info, ok := PassByName(spec.Name)
 		if !ok {
 			return nil, &CrashError{Pass: spec.Name, Msg: "unknown pass"}
 		}
 		resolved := resolveParams(info, spec.Params)
-		run := true
-		if cfg.Trace != nil {
-			run = cfg.Trace.BeforePass(f, spec, info, resolved)
+		if len(cfg.Observers) > 0 {
+			a := &PassApplication{Fn: f, Spec: spec, Info: info, Resolved: resolved, ctx: ctx}
+			err = a.observe(cfg.Observers)
+		} else if err = info.Run(f, ctx, resolved); err == nil {
+			err = ctx.checkGrowth(f, spec.Name)
 		}
-		var perr error
-		if run {
-			if cfg.Check != nil {
-				cfg.Check.BeforePass(f, spec.Name, info)
-			}
-			var before uint64
-			if scope != nil {
-				before = HashFunction(f)
-			}
-			start := time.Now()
-			perr = info.Run(f, ctx, resolved)
-			if scope != nil {
-				scope.Histogram("lir.pass_ms." + spec.Name).Observe(float64(time.Since(start).Microseconds()) / 1000)
-				if perr == nil {
-					if HashFunction(f) != before {
-						scope.Tally("lir.pass_fired").Inc(spec.Name)
-					} else {
-						scope.Tally("lir.pass_noop").Inc(spec.Name)
-					}
-				}
-			}
-			if perr == nil {
-				perr = ctx.checkGrowth(f, spec.Name)
-			}
-			if perr == nil && cfg.CheckEach {
-				if verr := VerifyIR(f); verr != nil {
-					perr = &CrashError{Pass: spec.Name, Msg: verr.Error()}
-				}
-			}
-			if perr == nil && cfg.Check != nil {
-				perr = cfg.Check.AfterPass(f, spec.Name, info)
-			}
-		}
-		// The tracer sees every application — including the one that is
-		// about to abort the compile (a tv rejection lands in the trace as
-		// the entry that ends it) — and runs after Check so it can read the
-		// verdict the checker just recorded.
-		if cfg.Trace != nil {
-			notes, dropped := ctx.drainNotes()
-			cfg.Trace.AfterPass(f, spec, info, run, notes, dropped, perr)
-		}
-		if perr != nil {
-			return nil, perr
+		if err != nil {
+			return nil, err
 		}
 	}
 	mfn, err := Lower(f, cfg.Lower)
@@ -193,17 +242,14 @@ func Compile(prog *dex.Program, methods []dex.MethodID, cfg Config, prof *Profil
 			}
 		}
 	}
-	sp := cfg.Obs.Start("lir.compile", obs.A("methods", len(methods)), obs.A("passes", len(cfg.Passes)))
 	out := machine.NewProgram()
 	for _, id := range methods {
 		fn, err := CompileMethod(prog, id, cfg, prof, static)
 		if err != nil {
-			sp.End(obs.A("error", err.Error()))
 			return nil, fmt.Errorf("compiling %s: %w", prog.Methods[id].Name, err)
 		}
 		out.Fns[id] = fn
 	}
-	sp.End()
 	return out, nil
 }
 

@@ -4,7 +4,7 @@ package rtrace
 // verify mismatch against the interpreter, a perf regression) and the rewrite
 // trace of the good/bad configuration, find the exact transform application
 // that first makes it bad. The search runs over trace *prefixes* — pass
-// applications are enabled mechanically through a PrefixTracer — so the
+// applications are enabled mechanically by a vetoing pass observer — so the
 // oracle stays a whole-compile predicate and needs no pass internals. A
 // greedy shrink then minimizes the enabled set around the pinned application,
 // mirroring tv's reproducer shrinker (tv.ShrinkLines) one level up.
@@ -18,34 +18,30 @@ import (
 	"replayopt/internal/sa"
 )
 
-// PrefixTracer implements lir.RewriteTracer by mechanically enabling exactly
-// the applications Enabled admits, counted in global seq order. It records
+// prefixTracer is a lir.PassObserver that mechanically enables exactly the
+// applications enabled admits, counted in global seq order. It records
 // nothing.
-type PrefixTracer struct {
-	Enabled func(seq int) bool
+type prefixTracer struct {
+	enabled func(seq int) bool
 	seq     int
 }
 
-// BeforePass implements lir.RewriteTracer.
-func (p *PrefixTracer) BeforePass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, resolved map[string]int) bool {
-	en := p.Enabled(p.seq)
+func (p *prefixTracer) BeforePass(a *lir.PassApplication) bool {
+	en := p.enabled(p.seq)
 	p.seq++
 	return en
 }
 
-// AfterPass implements lir.RewriteTracer.
-func (p *PrefixTracer) AfterPass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, ran bool, notes []lir.RewriteNote, dropped int, err error) {
-}
-
-// Applications reports how many pass applications the traced compile reached.
-func (p *PrefixTracer) Applications() int { return p.seq }
+func (p *prefixTracer) AfterPass(a *lir.PassApplication) error { return nil }
 
 // CompileMasked compiles prog with only the admitted pass applications
-// enabled — the building block for bisection oracles. It returns the compile
-// result together with the number of applications seen.
+// enabled — the building block for bisection oracles. Its vetoing observer
+// goes ahead of cfg's own, so a vetoed application costs them nothing.
+// It returns the compile result together with the number of applications
+// seen.
 func CompileMasked(prog *dex.Program, methods []dex.MethodID, cfg lir.Config, prof *lir.Profile, static *sa.Result, enabled func(seq int) bool) (*machine.Program, int, error) {
-	pt := &PrefixTracer{Enabled: enabled}
-	cfg.Trace = pt
+	pt := &prefixTracer{enabled: enabled}
+	cfg.Observers = append([]lir.PassObserver{pt}, cfg.Observers...)
 	code, err := lir.Compile(prog, methods, cfg, prof, static)
 	return code, pt.seq, err
 }

@@ -18,12 +18,14 @@ package rtrace
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"replayopt/internal/dex"
 	"replayopt/internal/lir"
 	"replayopt/internal/machine"
+	"replayopt/internal/obs"
 	"replayopt/internal/sa"
 )
 
@@ -178,23 +180,6 @@ func CheckLock(l *Lock) []Drift {
 	return out
 }
 
-// firedTracer counts which passes changed the IR, without recording.
-type firedTracer struct {
-	before uint64
-	fired  map[string]int
-}
-
-func (ft *firedTracer) BeforePass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, resolved map[string]int) bool {
-	ft.before = lir.HashFunction(f)
-	return true
-}
-
-func (ft *firedTracer) AfterPass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, ran bool, notes []lir.RewriteNote, dropped int, err error) {
-	if ran && lir.HashFunction(f) != ft.before {
-		ft.fired[spec.Name]++
-	}
-}
-
 // CheckLockDynamic recompiles under the locked configuration and reports
 // decisions that no longer hold: passes that used to fire but are now no-ops
 // for this program, and an image fingerprint that drifted. Static drift that
@@ -207,12 +192,13 @@ func CheckLockDynamic(l *Lock, prog *dex.Program, methods []dex.MethodID, prof *
 	if err != nil {
 		return []Drift{{Kind: "fingerprint-drift", Detail: err.Error()}}
 	}
-	ft := &firedTracer{fired: map[string]int{}}
-	cfg.Trace = ft
+	rec := NewRecorder(obs.NewJSONLWriter(io.Discard), RecorderOptions{})
+	cfg.Observe(rec)
 	code, err := lir.Compile(prog, methods, cfg, prof, static)
 	if err != nil {
 		return []Drift{{Kind: "compile-error", Detail: err.Error()}}
 	}
+	fired := rec.Fired()
 	var out []Drift
 	names := make([]string, 0, len(l.Fired))
 	for name := range l.Fired {
@@ -220,7 +206,7 @@ func CheckLockDynamic(l *Lock, prog *dex.Program, methods []dex.MethodID, prof *
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if l.Fired[name] > 0 && ft.fired[name] == 0 {
+		if l.Fired[name] > 0 && fired[name] == 0 {
 			out = append(out, Drift{Kind: "no-longer-fires", Pass: name,
 				Detail: fmt.Sprintf("pass %s fired %d times at lock time, 0 now", name, l.Fired[name])})
 		}

@@ -8,8 +8,6 @@ package rtrace
 // transparency story).
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -27,73 +25,16 @@ type Trace struct {
 	Trailer *Trailer
 }
 
-// ReadTrace parses a JSONL stream, collecting rtrace records and skipping
-// everything else (obs span lines share the file). Record order is enforced:
-// one header first, entries with strictly increasing seq, at most one
-// trailer.
+// ReadTrace parses a JSONL trace stream after the structural checks
+// ValidateReader makes (obs span lines sharing the file are skipped). The
+// stream must hold a header.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return nil, fmt.Errorf("rtrace: line %d: %w", line, err)
-		}
-		switch probe.Kind {
-		case KindHeader:
-			if t.Header != nil {
-				return nil, fmt.Errorf("rtrace: line %d: duplicate header", line)
-			}
-			var h Header
-			if err := json.Unmarshal(raw, &h); err != nil {
-				return nil, fmt.Errorf("rtrace: line %d: %w", line, err)
-			}
-			if h.SchemaVersion != SchemaVersion {
-				return nil, fmt.Errorf("rtrace: line %d: schema version %d, this build understands %d",
-					line, h.SchemaVersion, SchemaVersion)
-			}
-			t.Header = &h
-		case KindRewrite:
-			var e Entry
-			if err := json.Unmarshal(raw, &e); err != nil {
-				return nil, fmt.Errorf("rtrace: line %d: %w", line, err)
-			}
-			if t.Header == nil {
-				return nil, fmt.Errorf("rtrace: line %d: rewrite entry before header", line)
-			}
-			if e.Seq != len(t.Entries) {
-				return nil, fmt.Errorf("rtrace: line %d: seq %d, want %d", line, e.Seq, len(t.Entries))
-			}
-			t.Entries = append(t.Entries, e)
-		case KindImage:
-			if t.Trailer != nil {
-				return nil, fmt.Errorf("rtrace: line %d: duplicate trailer", line)
-			}
-			var tr Trailer
-			if err := json.Unmarshal(raw, &tr); err != nil {
-				return nil, fmt.Errorf("rtrace: line %d: %w", line, err)
-			}
-			t.Trailer = &tr
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	t, _, err := scan(r)
+	if err != nil {
+		return nil, fmt.Errorf("rtrace: %w", err)
 	}
 	if t.Header == nil {
 		return nil, fmt.Errorf("rtrace: no header record found")
-	}
-	if t.Trailer != nil && t.Trailer.Entries != len(t.Entries) {
-		return nil, fmt.Errorf("rtrace: trailer claims %d entries, file has %d",
-			t.Trailer.Entries, len(t.Entries))
 	}
 	return t, nil
 }
@@ -166,37 +107,38 @@ type replayTracer struct {
 	div     *Divergence
 }
 
-func (rt *replayTracer) BeforePass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, resolved map[string]int) bool {
+func (rt *replayTracer) BeforePass(a *lir.PassApplication) bool {
 	if rt.div != nil {
 		return true
 	}
 	if rt.seq >= len(rt.entries) {
-		rt.div = &Divergence{Seq: rt.seq, Pass: spec.Name, Stage: "length",
+		rt.div = &Divergence{Seq: rt.seq, Pass: a.Spec.Name, Stage: "length",
 			Want: fmt.Sprintf("%d entries", len(rt.entries)), Got: "more applications"}
 		return true
 	}
 	e := rt.entries[rt.seq]
-	if e.Pass != spec.Name {
-		rt.div = &Divergence{Seq: rt.seq, Pass: spec.Name, Stage: "pass-name", Want: e.Pass, Got: spec.Name}
+	if e.Pass != a.Spec.Name {
+		rt.div = &Divergence{Seq: rt.seq, Pass: a.Spec.Name, Stage: "pass-name", Want: e.Pass, Got: a.Spec.Name}
 		return true
 	}
-	if got := HashString(lir.HashFunction(f)); got != e.Before {
-		rt.div = &Divergence{Seq: rt.seq, Pass: spec.Name, Stage: "before", Want: e.Before, Got: got}
+	if got := HashString(a.Before()); got != e.Before {
+		rt.div = &Divergence{Seq: rt.seq, Pass: a.Spec.Name, Stage: "before", Want: e.Before, Got: got}
 		return true
 	}
 	return !e.Skipped
 }
 
-func (rt *replayTracer) AfterPass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, ran bool, notes []lir.RewriteNote, dropped int, err error) {
+func (rt *replayTracer) AfterPass(a *lir.PassApplication) error {
 	seq := rt.seq
 	rt.seq++
 	if rt.div != nil || seq >= len(rt.entries) {
-		return
+		return nil
 	}
 	e := rt.entries[seq]
-	if got := HashString(lir.HashFunction(f)); got != e.After {
-		rt.div = &Divergence{Seq: seq, Pass: spec.Name, Stage: "after", Want: e.After, Got: got}
+	if got := HashString(a.After()); got != e.After {
+		rt.div = &Divergence{Seq: seq, Pass: a.Spec.Name, Stage: "after", Want: e.After, Got: got}
 	}
+	return nil
 }
 
 // Replay mechanically re-executes t against prog: same methods, same config,
@@ -213,7 +155,7 @@ func Replay(prog *dex.Program, t *Trace, prof *lir.Profile, static *sa.Result) (
 		return nil, err
 	}
 	rt := &replayTracer{entries: t.Entries}
-	cfg.Trace = rt
+	cfg.Observe(rt)
 	code, cerr := lir.Compile(prog, t.Methods(), cfg, prof, static)
 	res := &ReplayResult{Entries: rt.seq}
 	if rt.div != nil {

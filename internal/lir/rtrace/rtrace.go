@@ -2,12 +2,11 @@
 // every optimization decision the LIR pipeline makes while compiling one code
 // image. The paper's transparency argument ("Developer and user-transparent
 // compiler optimization for interactive applications", PLDI 2021, §1 and the
-// Fig. 1 search loop) rests on
-// the claim that a GA-chosen configuration is an ordinary compiler input —
-// deterministic, reproducible, explainable. This package makes that claim
-// checkable: each pass application becomes one JSONL entry carrying its
-// resolved parameters, before/after IR fragment hashes, a bounded local diff,
-// the pass's own decision rationale (cost-model inputs via
+// Fig. 1 search loop) rests on the claim that a GA-chosen configuration is an
+// ordinary compiler input — deterministic, reproducible, explainable. This
+// package makes that claim checkable: each pass application becomes one JSONL
+// entry carrying its resolved parameters, before/after IR fragment hashes, a
+// bounded local diff, the pass's own decision rationale (cost-model inputs via
 // lir.PassContext.Note), and — when translation validation ran — the tv
 // verdict that admitted it.
 //
@@ -131,18 +130,19 @@ func ParseHash(s string) (uint64, error) {
 
 // RecorderOptions configure a Recorder.
 type RecorderOptions struct {
-	// Checker, when set, must be the same tv.Checker attached to the compile
-	// as Config.Check; the recorder reads each application's verdict from it.
+	// Checker, when set, must be a tv.Checker attached to the same compile
+	// ahead of the recorder in Config.Observers; the recorder reads each
+	// application's verdict from it.
 	Checker *tv.Checker
 	// DiffLines bounds the per-entry pretty-printed diff; 0 disables diffs
 	// entirely (no pretty-printing cost).
 	DiffLines int
 }
 
-// Recorder implements lir.RewriteTracer by writing one Entry per pass
-// application to a JSONL writer. One Recorder observes one compile (it is
-// stateful and serial, like tv.Checker); attach it as Config.Trace, then call
-// Finish with the image hash.
+// Recorder is a lir.PassObserver that writes one Entry per pass application
+// to a JSONL writer. One Recorder observes one compile (it is stateful and
+// serial, like tv.Checker); add it to Config.Observers, then call Finish with
+// the image hash.
 type Recorder struct {
 	w    *obs.JSONLWriter
 	opts RecorderOptions
@@ -151,9 +151,7 @@ type Recorder struct {
 	methods map[int]bool
 	fired   map[string]int
 
-	beforeHash uint64
 	beforeText string
-	resolved   map[string]int
 	verdicts   int
 }
 
@@ -189,12 +187,13 @@ func tracedPasses(specs []lir.PassSpec) []TracedPass {
 	return out
 }
 
-// BeforePass implements lir.RewriteTracer; a Recorder never vetoes.
-func (r *Recorder) BeforePass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, resolved map[string]int) bool {
-	r.beforeHash = lir.HashFunction(f)
-	r.resolved = resolved
+// BeforePass asks for the digest and notes the entry needs; a Recorder never
+// vetoes.
+func (r *Recorder) BeforePass(a *lir.PassApplication) bool {
+	a.Before()
+	a.CollectNotes()
 	if r.opts.DiffLines > 0 {
-		r.beforeText = f.String()
+		r.beforeText = a.Fn.String()
 	}
 	if r.opts.Checker != nil {
 		r.verdicts = len(r.opts.Checker.Verdicts)
@@ -202,43 +201,44 @@ func (r *Recorder) BeforePass(f *lir.Function, spec lir.PassSpec, info *lir.Pass
 	return true
 }
 
-// AfterPass implements lir.RewriteTracer.
-func (r *Recorder) AfterPass(f *lir.Function, spec lir.PassSpec, info *lir.PassInfo, ran bool, notes []lir.RewriteNote, dropped int, err error) {
-	after := lir.HashFunction(f)
+// AfterPass writes the application's entry.
+func (r *Recorder) AfterPass(a *lir.PassApplication) error {
+	f, name := a.Fn, a.Spec.Name
 	e := Entry{
 		Kind:         KindRewrite,
 		Seq:          r.seq,
 		Method:       int(f.Method),
 		Fn:           f.Name,
-		Pass:         spec.Name,
-		Params:       r.resolved,
-		Before:       HashString(r.beforeHash),
-		After:        HashString(after),
-		Fired:        ran && after != r.beforeHash,
-		Skipped:      !ran,
-		Notes:        notes,
-		NotesDropped: dropped,
+		Pass:         name,
+		Params:       a.Resolved,
+		Before:       HashString(a.Before()),
+		After:        HashString(a.After()),
+		Fired:        a.Fired(),
+		Skipped:      !a.Ran,
+		Notes:        a.Notes,
+		NotesDropped: a.Dropped,
 	}
 	if e.Fired {
-		r.fired[spec.Name]++
+		r.fired[name]++
 		if r.opts.DiffLines > 0 {
 			e.Diff, e.DiffTruncated = boundedDiff(r.beforeText, f.String(), r.opts.DiffLines)
 		}
 	}
-	if chk := r.opts.Checker; chk != nil && ran && len(chk.Verdicts) > r.verdicts {
+	if chk := r.opts.Checker; chk != nil && a.Ran && len(chk.Verdicts) > r.verdicts {
 		pv := chk.Verdicts[len(chk.Verdicts)-1]
-		if pv.Pass == spec.Name && pv.Fn == f.Name {
+		if pv.Pass == name && pv.Fn == f.Name {
 			e.TV = pv.Verdict.String()
 			e.TVReason = pv.Reason
 		}
 	}
-	if err != nil {
-		e.Error = err.Error()
+	if a.Err != nil {
+		e.Error = a.Err.Error()
 	}
 	r.seq++
 	r.methods[int(f.Method)] = true
 	r.beforeText = ""
-	r.w.Write(e)
+	r.w.Write(e) // a write error is sticky and surfaces through Err
+	return nil
 }
 
 // Finish writes the image trailer. Call it only when the compile succeeded;

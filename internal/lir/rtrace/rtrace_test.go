@@ -3,6 +3,7 @@ package rtrace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"path/filepath"
 	"testing"
@@ -39,7 +40,7 @@ func main() int {
 }
 `
 
-func fixture(t *testing.T) (*dex.Program, []dex.MethodID) {
+func fixture(t testing.TB) (*dex.Program, []dex.MethodID) {
 	t.Helper()
 	prog, err := minic.CompileSource("fixture", fixtureSrc)
 	if err != nil {
@@ -56,14 +57,14 @@ func fixture(t *testing.T) (*dex.Program, []dex.MethodID) {
 
 // record compiles prog under cfg with a fresh Recorder and returns the raw
 // trace bytes alongside the compiled image hash.
-func record(t *testing.T, prog *dex.Program, methods []dex.MethodID, cfg lir.Config) ([]byte, uint64) {
+func record(t testing.TB, prog *dex.Program, methods []dex.MethodID, cfg lir.Config) ([]byte, uint64) {
 	t.Helper()
 	var buf bytes.Buffer
 	rec := NewRecorder(obs.NewJSONLWriter(&buf), RecorderOptions{DiffLines: DefaultDiffLines})
 	if err := rec.WriteHeader("fixture", 1, cfg, methods); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trace = rec
+	cfg.Observe(rec)
 	code, err := lir.Compile(prog, methods, cfg, nil, nil)
 	if err != nil {
 		t.Fatalf("traced compile: %v", err)
@@ -197,7 +198,7 @@ func TestBisectPinsMiscompile(t *testing.T) {
 	// fresh strict validator; "bad" means the validator proves a miscompile.
 	bad := func(enabled func(seq int) bool) bool {
 		probe := cfg
-		probe.Check = tv.NewChecker(tv.Options{Reject: true})
+		probe.Observe(tv.NewChecker(tv.Options{Reject: true}))
 		_, _, err := CompileMasked(prog, methods, probe, nil, nil, enabled)
 		var rej *tv.RejectError
 		return errors.As(err, &rej)
@@ -228,6 +229,99 @@ func TestBisectPinsMiscompile(t *testing.T) {
 	}
 }
 
+// TestStrictViolationAborts: a pass that breaks the SSA invariants aborts
+// the compile even under a checker built without Reject. The error names the
+// pass, the trace's last entry carries that error with a rejected verdict,
+// and the differential drill still classifies the pass as a verifier failure.
+func TestStrictViolationAborts(t *testing.T) {
+	const name = "ssabreak"
+	// tv's "result type flip" seeded mutation: the first add claims a float
+	// result.
+	cleanup := lir.RegisterForTesting(&lir.PassInfo{Name: name, Run: func(f *lir.Function, _ *lir.PassContext, _ map[string]int) error {
+		for _, b := range f.Blocks {
+			for _, v := range b.Insns {
+				if v.Op == lir.OpAdd {
+					v.Type = lir.TFloat
+					return nil
+				}
+			}
+		}
+		return nil
+	}})
+	defer cleanup()
+
+	prog, methods := fixture(t)
+	cfg := lir.O1()
+	cfg.Passes = append(cfg.Passes, lir.PassSpec{Name: name})
+	chk := tv.NewChecker(tv.Options{})
+	var buf bytes.Buffer
+	rec := NewRecorder(obs.NewJSONLWriter(&buf), RecorderOptions{Checker: chk})
+	if err := rec.WriteHeader("fixture", 1, cfg, methods); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Observe(chk, rec)
+	_, err := lir.Compile(prog, methods, cfg, nil, nil)
+	var rej *tv.RejectError
+	if !errors.As(err, &rej) || rej.Pass != name {
+		t.Fatalf("compile error %v, want a tv rejection of pass %s", err, name)
+	}
+	tr, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := tr.Entries[len(tr.Entries)-1]
+	if last.Pass != name || last.TV != "rejected" || last.Error != rej.Error() {
+		t.Errorf("last trace entry: pass %q, tv %q, error %q; want %q, %q, %q",
+			last.Pass, last.TV, last.Error, name, "rejected", rej.Error())
+	}
+
+	fails := tv.Differential(tv.DiffOptions{Seeds: 3, Passes: []string{name}})
+	if len(fails) != 1 || fails[0].Kind != "verifier" {
+		t.Fatalf("differential found %+v, want one verifier failure", fails)
+	}
+}
+
+// TestObserversAgree: with lir's per-pass metrics observer and a Recorder on
+// one compile, the lir.pass_fired tally and the recorder's fired counts are
+// the same figures, and the observer list is not part of the config's
+// identity.
+func TestObserversAgree(t *testing.T) {
+	prog, methods := fixture(t)
+	cfg := lir.O3()
+	plain := cfg.Fingerprint()
+	sc := obs.New()
+	rec := NewRecorder(obs.NewJSONLWriter(io.Discard), RecorderOptions{})
+	cfg.Observe(lir.PassMetrics(sc), rec)
+	if got := cfg.Fingerprint(); got != plain {
+		t.Fatalf("observers changed the fingerprint: %016x, %016x without", got, plain)
+	}
+	if _, err := lir.Compile(prog, methods, cfg, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	tally := sc.Tally("lir.pass_fired").Counts()
+	fired := rec.Fired()
+	if len(fired) == 0 {
+		t.Fatal("no pass fired under O3")
+	}
+	if len(tally) != len(fired) {
+		t.Errorf("lir.pass_fired has %d passes, the recorder %d: %v vs %v", len(tally), len(fired), tally, fired)
+	}
+	for pass, n := range fired {
+		if tally[pass] != int64(n) {
+			t.Errorf("%s: lir.pass_fired %d, recorder %d", pass, tally[pass], n)
+		}
+	}
+	applications := int64(0)
+	for _, name := range []string{"lir.pass_fired", "lir.pass_noop"} {
+		for _, n := range sc.Tally(name).Counts() {
+			applications += n
+		}
+	}
+	if applications != int64(rec.Entries()) {
+		t.Errorf("fired+noop tallies count %d applications, the recorder %d", applications, rec.Entries())
+	}
+}
+
 // TestLockRoundTripAndDrift covers the policy-lock lifecycle: cut, persist,
 // reload, audit clean, then every drift class when the world changes.
 func TestLockRoundTripAndDrift(t *testing.T) {
@@ -239,7 +333,7 @@ func TestLockRoundTripAndDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	tcfg := cfg
-	tcfg.Trace = rec
+	tcfg.Observe(rec)
 	code, err := lir.Compile(prog, methods, tcfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -338,6 +432,18 @@ func TestLockRoundTripAndDrift(t *testing.T) {
 	}
 }
 
+// corruptions are structural damage to a recorded trace that a JSON parser
+// alone would accept.
+var corruptions = []struct {
+	name string
+	old  []byte
+	new  []byte
+}{
+	{"seq-gap", []byte(`"kind":"rewrite","seq":1,`), []byte(`"kind":"rewrite","seq":7,`)},
+	{"unknown-kind", []byte(`"kind":"rtrace-image"`), []byte(`"kind":"rtrace-imago"`)},
+	{"bad-hash", []byte(`"before":"`), []byte(`"before":"zz`)},
+}
+
 // TestValidateRejectsCorruption: the shared validator catches structural
 // damage a JSON parser alone would accept.
 func TestValidateRejectsCorruption(t *testing.T) {
@@ -346,15 +452,7 @@ func TestValidateRejectsCorruption(t *testing.T) {
 	if _, err := ValidateReader(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("clean trace rejected: %v", err)
 	}
-	for _, tc := range []struct {
-		name string
-		old  []byte
-		new  []byte
-	}{
-		{"seq-gap", []byte(`"kind":"rewrite","seq":1,`), []byte(`"kind":"rewrite","seq":7,`)},
-		{"unknown-kind", []byte(`"kind":"rtrace-image"`), []byte(`"kind":"rtrace-imago"`)},
-		{"bad-hash", []byte(`"before":"`), []byte(`"before":"zz`)},
-	} {
+	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := bytes.Replace(raw, tc.old, tc.new, 1)
 			if bytes.Equal(bad, raw) {
@@ -365,6 +463,29 @@ func TestValidateRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes to both trace readers: ReadTrace, which
+// replay and bisection parse traces with, and ValidateReader, the linter
+// behind `rtrace -validate` and `audit trace`. Neither may panic, and a
+// stream the validator accepts as a trace (one holding a header, not a bare
+// lock or span file) must also parse.
+//
+//	go test -run '^$' -fuzz FuzzReadTrace -fuzztime 20s -fuzzminimizetime 5s ./internal/lir/rtrace
+func FuzzReadTrace(f *testing.F) {
+	prog, methods := fixture(f)
+	raw, _ := record(f, prog, methods, lir.O2())
+	f.Add(raw)
+	for _, tc := range corruptions {
+		f.Add(bytes.Replace(raw, tc.old, tc.new, 1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, rerr := ReadTrace(bytes.NewReader(data))
+		st, verr := ValidateReader(bytes.NewReader(data))
+		if verr == nil && st.Headers > 0 && rerr != nil {
+			t.Fatalf("ValidateReader accepts the trace, ReadTrace rejects it: %v", rerr)
+		}
+	})
 }
 
 // TestRecordingIsObservationOnly: the compiled image is bit-identical with

@@ -33,8 +33,10 @@ type Bench struct {
 }
 
 // Check holds the artifact's invariants: no stock preset earns a Rejected
-// verdict, the verdict totals reconcile with the rows, and the validated
-// search saved at least one replay evaluation.
+// verdict and the verdict totals reconcile with the rows. The search's
+// tv_rejects and replay_evals_saved are reported, not gated: whether a seeded
+// search samples tvbreak depends on the catalog, so the benchmark proves the
+// early discard on a fixed tvbreak candidate instead.
 func (b *Bench) Check() error {
 	if b.SchemaVersion != BenchSchemaVersion {
 		return fmt.Errorf("schema_version %d, want %d", b.SchemaVersion, BenchSchemaVersion)
@@ -55,9 +57,6 @@ func (b *Bench) Check() error {
 	}
 	if verified != b.Verified || unverified != b.Unverified {
 		return fmt.Errorf("verified/unverified %d/%d but rows sum to %d/%d", b.Verified, b.Unverified, verified, unverified)
-	}
-	if b.ReplayEvalsSaved < 1 {
-		return fmt.Errorf("replay_evals_saved %d: the validated search saved no replay evaluations", b.ReplayEvalsSaved)
 	}
 	return nil
 }

@@ -83,12 +83,12 @@ func checkOne(src, pass string, maxCycles int64) *DiffFailure {
 	chk := NewChecker(Options{})
 	cfg := lir.O0()
 	cfg.Passes = []lir.PassSpec{{Name: pass}}
-	cfg.CheckEach = true
-	cfg.Check = chk
+	cfg.Observe(chk)
 	code, err := lir.Compile(prog, nil, cfg, nil, nil)
 	if err != nil {
 		// Designed compile-time outcomes (vectorize's crash on calls, the
-		// growth cap) are not defects; a verifier violation is.
+		// growth cap) are not defects; a verifier violation, which the
+		// checker always turns into an abort, is.
 		if strings.Contains(err.Error(), "lir-verify:") || strings.Contains(err.Error(), "tv-strict:") {
 			return &DiffFailure{Pass: pass, Kind: "verifier", Detail: err.Error()}
 		}

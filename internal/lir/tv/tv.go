@@ -41,8 +41,9 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("verdict(%d)", uint8(v))
 }
 
-// RejectError aborts a compile whose pipeline provably miscompiled. The GA
-// classifies it as the tv-reject outcome, distinct from compiler crashes.
+// RejectError aborts a compile whose pipeline provably miscompiled or broke
+// the strict SSA invariants. The GA classifies it as the tv-reject outcome,
+// distinct from compiler crashes.
 type RejectError struct {
 	Pass   string
 	Fn     string
@@ -63,13 +64,15 @@ type PassVerdict struct {
 
 // Options configure a Checker.
 type Options struct {
-	// Reject makes a Rejected verdict abort the compile with a RejectError.
-	// Off, the checker only records verdicts (`audit tv`).
+	// Reject makes a semantic Rejected verdict (a provable miscompile) abort
+	// the compile with a RejectError. Off, the checker only records such
+	// verdicts (`audit tv`). A strict SSA violation aborts either way: no
+	// later pass, and no validation, can trust a broken function.
 	Reject bool
 }
 
-// Checker implements lir.PipelineCheck: it snapshots the function before each
-// pass and validates the result against the snapshot. One Checker serves one
+// Checker is a lir.PassObserver: it snapshots the function before each pass
+// and validates the result against the snapshot. One Checker serves one
 // sequential compile; it is not safe for concurrent use.
 type Checker struct {
 	Opts     Options
@@ -81,29 +84,31 @@ type Checker struct {
 // NewChecker returns a checker with the given options.
 func NewChecker(opts Options) *Checker { return &Checker{Opts: opts} }
 
-// BeforePass snapshots the function.
-func (c *Checker) BeforePass(f *lir.Function, pass string, info *lir.PassInfo) {
-	c.snap = f.Clone()
+// BeforePass snapshots the function; the checker never vetoes.
+func (c *Checker) BeforePass(a *lir.PassApplication) bool {
+	c.snap = a.Fn.Clone()
+	return true
 }
 
-// AfterPass strict-verifies the pass result (a violation is a Rejected
-// verdict attributed to the pass), validates it against the snapshot, records
-// the verdict, and (with Opts.Reject) vetoes provable miscompiles.
-func (c *Checker) AfterPass(f *lir.Function, pass string, info *lir.PassInfo) error {
-	verdict, reason := Verified, ""
-	if err := VerifyStrict(f); err != nil {
-		verdict, reason = Rejected, "strict: "+err.Error()
+// AfterPass strict-verifies the pass result, validates it against the
+// snapshot and records the verdict. A strict violation is a Rejected verdict
+// that always aborts the compile; a provable miscompile aborts it only under
+// Opts.Reject. Applications that were vetoed or already failed are not
+// checked.
+func (c *Checker) AfterPass(a *lir.PassApplication) error {
+	if !a.Ran || a.Err != nil {
+		return nil
 	}
-	if verdict != Rejected && c.snap != nil {
-		var traits lir.Traits
-		if info != nil {
-			traits = info.Traits
-		}
-		verdict, reason = Validate(c.snap, f, traits)
+	f, pass := a.Fn, a.Spec.Name
+	verdict, reason := Rejected, ""
+	strict := VerifyStrict(f)
+	if strict != nil {
+		reason = "strict: " + strict.Error()
+	} else {
+		verdict, reason = Validate(c.snap, f, a.Info.Traits)
 	}
 	c.Verdicts = append(c.Verdicts, PassVerdict{Fn: f.Name, Pass: pass, Verdict: verdict, Reason: reason})
-	c.snap = nil
-	if c.Opts.Reject && verdict == Rejected {
+	if verdict == Rejected && (strict != nil || c.Opts.Reject) {
 		return &RejectError{Pass: pass, Fn: f.Name, Reason: reason}
 	}
 	return nil

@@ -115,8 +115,7 @@ func TestGoldenPresets(t *testing.T) {
 		for _, preset := range []string{"O1", "O2", "O3"} {
 			cfg, _ := lir.Preset(preset)
 			chk := NewChecker(Options{})
-			cfg.Check = chk
-			cfg.CheckEach = true
+			cfg.Observe(chk)
 			if _, err := lir.Compile(prog, nil, cfg, nil, nil); err != nil {
 				t.Fatalf("src %d %s: %v", si, preset, err)
 			}
@@ -163,7 +162,7 @@ func TestCheckerRejectsInPipeline(t *testing.T) {
 	}
 	cfg := lir.O0()
 	cfg.Passes = []lir.PassSpec{{Name: "constfold"}, {Name: MiscompilePassName}}
-	cfg.Check = NewChecker(Options{Reject: true})
+	cfg.Observe(NewChecker(Options{Reject: true}))
 	_, err = lir.Compile(prog, nil, cfg, nil, nil)
 	if err == nil {
 		t.Fatal("tvbreak pipeline compiled cleanly")
@@ -367,7 +366,7 @@ func TestReportValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, _ := lir.Preset("O2")
-	cfg.Check = chk
+	cfg.Observe(chk)
 	if _, err := lir.Compile(prog, nil, cfg, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,9 @@ package lir
 
 import "fmt"
 
-// VerifyIR checks structural SSA invariants; passes are tested against it
-// and the pipeline can assert it between stages (Config.CheckEach). Beyond
+// VerifyIR checks structural SSA invariants; passes are tested against it,
+// and tv.VerifyStrict builds on it to check every pass application under a
+// tv.Checker (whose strict violations always abort the compile). Beyond
 // the basic shape checks (block/phi/terminator structure, edge symmetry,
 // unique IDs) it enforces the SSA dominance discipline: every use must be
 // dominated by its definition — in straight-line code that means defined

@@ -165,18 +165,25 @@ func Build(dev *device.Device, store *capture.Store, snap *capture.Snapshot,
 }
 
 // Check compares a candidate replay's observable behavior against the map.
+// A location mismatch reports the lowest mismatching address, missing or
+// wrong, so the error text does not depend on the map's range order.
 func (m *Map) Check(res *replay.Result) error {
 	if !m.Void && res.Ret != m.Ret {
 		return &MismatchError{IsRet: true, Got: res.Ret, Want: m.Ret}
 	}
+	var bad *MismatchError
 	for a, want := range m.Entries {
-		got, err := res.Proc.Space.ReadU64(a)
-		if err != nil {
-			return &MismatchError{Addr: a, Want: want, Missing: true}
+		if bad != nil && a > bad.Addr {
+			continue
 		}
-		if got != want {
-			return &MismatchError{Addr: a, Want: want, Got: got}
+		if got, err := res.Proc.Space.ReadU64(a); err != nil {
+			bad = &MismatchError{Addr: a, Want: want, Missing: true}
+		} else if got != want {
+			bad = &MismatchError{Addr: a, Want: want, Got: got}
 		}
+	}
+	if bad != nil {
+		return bad
 	}
 	return nil
 }

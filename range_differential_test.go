@@ -84,8 +84,7 @@ func TestRangePassDifferential(t *testing.T) {
 						cfg.Passes = append(cfg.Passes, lir.PassSpec{Name: n})
 					}
 					chk := tv.NewChecker(tv.Options{Reject: true})
-					cfg.Check = chk
-					cfg.CheckEach = true
+					cfg.Observe(chk)
 					code, err := lir.Compile(app.Prog, nil, cfg, nil, static)
 					if err != nil {
 						t.Fatalf("%s+%v compile: %v", pre.name, names, err)
