@@ -10,9 +10,6 @@ import (
 	"replayopt/internal/fleet"
 	"replayopt/internal/ga"
 	"replayopt/internal/lir/tv"
-	"replayopt/internal/sa"
-	"replayopt/internal/sa/pts"
-	"replayopt/internal/sa/vra"
 	"replayopt/internal/schema"
 )
 
@@ -24,9 +21,6 @@ func TestCommittedArtifacts(t *testing.T) {
 		path string
 		doc  schema.Checker
 	}{
-		{"BENCH_sa.json", new(sa.Bench)},
-		{"BENCH_range.json", new(vra.Bench)},
-		{"BENCH_alias.json", new(pts.Bench)},
 		{"BENCH_tv.json", new(tv.Bench)},
 		{"BENCH_parallel.json", new(ga.Bench)},
 		{"BENCH_store.json", new(castore.Bench)},
@@ -42,42 +36,28 @@ func TestCommittedArtifacts(t *testing.T) {
 	}
 }
 
-// TestAliasArtifactRejectsMissingGate pins the defect of decoding into a
-// zero-filled mirror: an alias artifact whose disambiguation floor or
-// rejection count was deleted, with its kernel rows pushed to 1%, must fail
-// instead of reading the missing keys as zero.
-func TestAliasArtifactRejectsMissingGate(t *testing.T) {
-	data, err := os.ReadFile("BENCH_alias.json")
+// TestArtifactRejectsMissingGate pins the defect of decoding into a
+// zero-filled mirror: a fleet artifact whose dropped-job count or cache hit
+// ratio was deleted must fail instead of reading the missing key as zero. A
+// zero read for dropped_jobs would pass the artifact's own no-lost-work gate.
+func TestArtifactRejectsMissingGate(t *testing.T) {
+	data, err := os.ReadFile("BENCH_fleet.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name, wantErr string
-		mutate        func(doc map[string]any)
-	}{
-		{"floor deleted, kernels at 1%", "kernel_min_disambiguation_pct: missing", func(doc map[string]any) {
-			delete(doc, "kernel_min_disambiguation_pct")
-			for _, r := range doc["apps"].([]any) {
-				if row := r.(map[string]any); row["kernel"] == true {
-					row["disambiguation_pct"] = 1
-				}
-			}
-		}},
-		{"rejections deleted", "tv_rejected: missing", func(doc map[string]any) {
-			delete(doc, "tv_rejected")
-		}},
-	} {
+	for _, key := range []string{"dropped_jobs", "cache_hit_ratio"} {
 		var doc map[string]any
 		if err := json.Unmarshal(data, &doc); err != nil {
 			t.Fatal(err)
 		}
-		c.mutate(doc)
+		delete(doc, key)
 		bad, err := json.Marshal(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := schema.Decode(bad, new(pts.Bench)); err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("%s: error %v does not mention %q", c.name, err, c.wantErr)
+		want := key + ": missing"
+		if err := schema.Decode(bad, new(fleet.Bench)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s deleted: error %v does not mention %q", key, err, want)
 		}
 	}
 }

@@ -28,23 +28,16 @@ import (
 	"replayopt/internal/capture/castore"
 	"replayopt/internal/core"
 	"replayopt/internal/device"
-	"replayopt/internal/dex"
 	"replayopt/internal/exp"
 	"replayopt/internal/ga"
 	"replayopt/internal/interp"
 	"replayopt/internal/lir"
 	"replayopt/internal/lir/tv"
-	"replayopt/internal/machine"
 	"replayopt/internal/mem"
 	"replayopt/internal/minic"
 	"replayopt/internal/obs"
-	"replayopt/internal/profile"
 	"replayopt/internal/rt"
-	"replayopt/internal/sa"
-	"replayopt/internal/sa/pts"
-	"replayopt/internal/sa/vra"
 	"replayopt/internal/schema"
-	"replayopt/internal/verify"
 )
 
 func benchScale(b *testing.B) exp.Scale {
@@ -71,14 +64,6 @@ func writeArtifact(b *testing.B, path string, doc schema.Checker) {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// runWhole runs app's whole program online under code and returns its result
-// and the cycles it took.
-func runWhole(app *core.App, code *machine.Program) (ret, cycles uint64, err error) {
-	_, x := app.NewProcessAndExec(code)
-	ret, err = x.Call(app.Prog.Entry, nil)
-	return ret, x.Cycles, err
 }
 
 func BenchmarkTable1(b *testing.B) {
@@ -337,571 +322,6 @@ func BenchmarkScheduleTable(b *testing.B) {
 	}
 }
 
-// BenchmarkEffectAnalysis measures what the interprocedural effect analysis
-// (internal/sa) buys over the §3.1 boolean blocklist: deep-replayable method
-// coverage, guards the backend no longer emits (GC checks eliminated, virtual
-// calls devirtualized), and the §3.4 verification-map size for a region the
-// analysis proves free of heap writes. Results land in BENCH_sa.json.
-func BenchmarkEffectAnalysis(b *testing.B) {
-	appNames := []string{"FFT", "BubbleSort", "MaterialLife", "DroidFish"}
-
-	countOps := func(code *machine.Program) (gcchk, callv int) {
-		for _, fn := range code.Fns {
-			for _, in := range fn.Code {
-				switch in.Op {
-				case machine.GCChk:
-					gcchk++
-				case machine.CallV:
-					callv++
-				}
-			}
-		}
-		return
-	}
-
-	specFor := func(name string) (apps.Spec, bool) {
-		if name == "WitnessFilter" {
-			return apps.WitnessSpec(), true
-		}
-		return apps.ByName(name)
-	}
-
-	var rows []sa.BenchApp
-	var vmaps []sa.BenchVmap
-	for i := 0; i < b.N; i++ {
-		rows, vmaps = nil, nil
-		for _, name := range append(appNames, "WitnessFilter") {
-			spec, ok := specFor(name)
-			if !ok {
-				b.Fatalf("unknown app %s", name)
-			}
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eff := profile.Analyze(app.Prog)
-			block := profile.AnalyzeBlocklist(app.Prog)
-			row := sa.BenchApp{App: name, Methods: len(app.Prog.Methods)}
-			var compilable []dex.MethodID
-			for id := range app.Prog.Methods {
-				if block.ReplayableDeep[id] {
-					row.DeepBlocklist++
-				}
-				if eff.ReplayableDeep[id] {
-					row.DeepEffects++
-				}
-				if eff.Compilable[id] {
-					compilable = append(compilable, dex.MethodID(id))
-				}
-			}
-			// O2 plus the two guard-bearing custom passes the GA searches
-			// over: with a nil static result both degrade to conservative
-			// behavior, so the delta is exactly what the analysis eliminates.
-			cfg := lir.O2()
-			cfg.Passes = append(cfg.Passes,
-				lir.PassSpec{Name: "gccheckelim"},
-				lir.PassSpec{Name: "devirt"})
-			base, err := lir.Compile(app.Prog, compilable, cfg, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opt, err := lir.Compile(app.Prog, compilable, cfg, nil, eff.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			row.GCChkBaseline, row.CallVBaseline = countOps(base)
-			row.GCChkEffects, row.CallVEffects = countOps(opt)
-			rows = append(rows, row)
-		}
-
-		// Verification-map size for a region the analysis proves write-free
-		// (the witness app's pure kernel) and a representative escaping-write
-		// region (FFT), each built conservatively and effect-aware.
-		for _, name := range []string{"WitnessFilter", "FFT"} {
-			spec, _ := specFor(name)
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opt := core.New(core.DefaultOptions())
-			p, err := opt.Prepare(app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cons, _, err := verify.Build(opt.Dev, opt.Store, p.Snapshot, app.Prog, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			effm, _, err := verify.Build(opt.Dev, opt.Store, p.Snapshot, app.Prog, p.Analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			vmaps = append(vmaps, sa.BenchVmap{
-				App:                 name,
-				Region:              app.Prog.Methods[p.Region.Root].Name,
-				RegionEffect:        p.Analysis.Effects.Summary[p.Region.Root].String(),
-				EntriesConservative: len(cons.Entries),
-				EntriesEffects:      len(effm.Entries),
-				StoresSkipped:       effm.StoresSkipped,
-			})
-		}
-	}
-
-	var deepBlock, deepEff, gcElim, callvElim int
-	for _, r := range rows {
-		deepBlock += r.DeepBlocklist
-		deepEff += r.DeepEffects
-		gcElim += r.GCChkBaseline - r.GCChkEffects
-		callvElim += r.CallVBaseline - r.CallVEffects
-	}
-	b.ReportMetric(float64(deepEff-deepBlock), "deep-replayable-gain")
-	b.ReportMetric(float64(gcElim), "gcchk-eliminated")
-	b.ReportMetric(float64(callvElim), "callv-devirtualized")
-
-	writeArtifact(b, "BENCH_sa.json", &sa.Bench{
-		SchemaVersion:      sa.BenchSchemaVersion,
-		Benchmark:          "EffectAnalysis",
-		Apps:               rows,
-		Vmap:               vmaps,
-		DeepBlocklist:      deepBlock,
-		DeepEffects:        deepEff,
-		GCChkEliminated:    gcElim,
-		CallVDevirtualized: callvElim,
-	})
-	fmt.Printf("effect analysis: deep-replayable %d -> %d; %d GC checks eliminated, %d virtual calls devirtualized\n",
-		deepBlock, deepEff, gcElim, callvElim)
-}
-
-// BenchmarkRangeAnalysis measures the interprocedural value-range analysis
-// (internal/sa/vra) and its three consumer passes: per app, the machine-level
-// bounds checks rangecheckelim discharges from the hot region (gated at >= 50%
-// on the kernel subjects where index flow is range-provable), the unguarded
-// divides rangestrength/rangecheckelim select, the whole-program exec-cycle
-// delta, and the analysis wall-clock. It also proves the two safety
-// properties the passes claim: a validated compile produces zero tv
-// rejections, and a GA search with the range passes excluded from the pool
-// yields a byte-identical decision trace whether summaries are attached or
-// not. Results land in BENCH_range.json (checked by `audit check bench`).
-func BenchmarkRangeAnalysis(b *testing.B) {
-	// Kernel subjects: hot regions whose index expressions the analysis can
-	// relate to array lengths (direct len() loop bounds). The others are
-	// reported but not gated — their loop bounds arrive through parameters
-	// the range lattice cannot tie to a specific array.
-	kernelApps := map[string]bool{"SOR": true, "SelectionSort": true}
-	appNames := []string{"SOR", "SelectionSort", "FFT", "LU", "BubbleSort", "MaterialLife"}
-	const minKernelDischargePct = 50.0
-
-	countOps := func(code *machine.Program) (bound, divu int) {
-		for _, fn := range code.Fns {
-			for _, in := range fn.Code {
-				switch in.Op {
-				case machine.Bound:
-					bound++
-				case machine.DivU, machine.RemU:
-					divu++
-				}
-			}
-		}
-		return
-	}
-	rangeSpecs := []lir.PassSpec{
-		{Name: "rangecheckelim"},
-		{Name: "rangebranch"},
-		{Name: "rangestrength"},
-		{Name: "simplifycfg"},
-		{Name: "dce"},
-	}
-
-	var rows []vra.BenchApp
-	var tvRejected int
-	traceParity := false
-	for i := 0; i < b.N; i++ {
-		rows = nil
-		tvRejected = 0
-		for _, name := range appNames {
-			spec, ok := apps.ByName(name)
-			if !ok {
-				b.Fatalf("unknown app %s", name)
-			}
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Locate the hot region exactly as the optimizer's prepare
-			// stage does, then attach interprocedural summaries.
-			located, ok, err := new(core.Optimizer).LocateHotRegion(app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				b.Fatalf("%s: no replayable hot region", name)
-			}
-			analysis, region := located.Analysis, located.Region
-			start := time.Now()
-			vra.Attach(analysis.Effects)
-			analysisMs := time.Since(start).Seconds() * 1000
-
-			// Hot-region discharge at O1 (no bce in the base pipeline, so
-			// the delta is the range passes' own contribution).
-			base, _ := lir.Preset("O1")
-			opt := base
-			opt.Passes = append(append([]lir.PassSpec{}, base.Passes...), rangeSpecs...)
-			baseRegion, err := lir.Compile(app.Prog, region.Methods, base, nil, analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			chk := tv.NewChecker(tv.Options{})
-			optChecked := opt
-			optChecked.Observe(chk)
-			optRegion, err := lir.Compile(app.Prog, region.Methods, optChecked, nil, analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, _, rejected := chk.Counts()
-			tvRejected += rejected
-
-			row := vra.BenchApp{App: name, Kernel: kernelApps[name], AnalysisMs: analysisMs}
-			row.BoundsBase, _ = countOps(baseRegion)
-			row.BoundsOpt, row.UnguardedDivs = countOps(optRegion)
-			if row.BoundsBase > 0 {
-				row.DischargePct = 100 * float64(row.BoundsBase-row.BoundsOpt) / float64(row.BoundsBase)
-			}
-
-			// Whole-program exec-cycle delta with the range passes on.
-			baseAll, err := lir.Compile(app.Prog, nil, base, nil, analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			optAll, err := lir.Compile(app.Prog, nil, opt, nil, analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, row.CyclesBase, err = runWhole(app, baseAll); err != nil {
-				b.Fatal(err)
-			}
-			if _, row.CyclesOpt, err = runWhole(app, optAll); err != nil {
-				b.Fatal(err)
-			}
-			row.CycleDeltaPct = (float64(row.CyclesOpt)/float64(row.CyclesBase) - 1) * 100
-
-			if row.Kernel && row.DischargePct < minKernelDischargePct {
-				b.Fatalf("%s: rangecheckelim discharged %.0f%% of hot-region bounds checks, want >= %.0f%%",
-					name, row.DischargePct, minKernelDischargePct)
-			}
-			rows = append(rows, row)
-		}
-		if tvRejected > 0 {
-			b.Fatalf("%d tv rejections on range-pass pipelines (passes must never be Rejected)", tvRejected)
-		}
-
-		// Trace parity: with the range passes excluded from the search pool,
-		// attached summaries must be invisible to the GA — byte-identical
-		// decision traces with and without them.
-		p, _, err := exp.PrepareApp("Fibonacci.recv", benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := benchScale(b).GA
-		opts.BaselineAndroidMs = p.AndroidEval.MeanMs
-		opts.BaselineO3Ms = p.O3Eval.MeanMs
-		opts.ExcludePasses = []string{"rangecheckelim", "rangebranch", "rangestrength"}
-		withRanges := ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
-		p.Analysis.Effects.Ranges = nil
-		withoutRanges := ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
-		traceParity = withRanges == withoutRanges
-		if !traceParity {
-			b.Fatal("decision trace changed when range summaries were attached but the passes were unselected")
-		}
-	}
-
-	var discharged, totalBase int
-	var analysisMs float64
-	for _, r := range rows {
-		discharged += r.BoundsBase - r.BoundsOpt
-		totalBase += r.BoundsBase
-		analysisMs += r.AnalysisMs
-	}
-	b.ReportMetric(float64(discharged), "bounds-discharged")
-	b.ReportMetric(float64(discharged)/float64(totalBase)*100, "%discharged")
-	b.ReportMetric(analysisMs/float64(len(rows)), "analysis-ms/app")
-
-	writeArtifact(b, "BENCH_range.json", &vra.Bench{
-		SchemaVersion: vra.BenchSchemaVersion,
-		Benchmark:     "RangeAnalysis",
-		Apps:          rows,
-		KernelMinPct:  minKernelDischargePct,
-		Discharged:    discharged,
-		TVRejected:    tvRejected,
-		TraceParity:   traceParity,
-		TraceApp:      "Fibonacci.recv",
-	})
-	fmt.Printf("range analysis: %d/%d hot-region bounds checks discharged; tv rejects %d; trace parity %v\n",
-		discharged, totalBase, tvRejected, traceParity)
-	for _, r := range rows {
-		fmt.Printf("  %-14s kernel=%-5v bound %3d -> %3d (%4.0f%%) divu %d  cycles %+.2f%%  analysis %.1f ms\n",
-			r.App, r.Kernel, r.BoundsBase, r.BoundsOpt, r.DischargePct, r.UnguardedDivs, r.CycleDeltaPct, r.AnalysisMs)
-	}
-}
-
-// BenchmarkAliasAnalysis measures the interprocedural points-to analysis
-// (internal/sa/pts) and its four consumer passes: per app, how many of the
-// same-kind access pairs the alias-blind passes must assume conflicting the
-// analysis proves apart (gated at >= 30% on the kernel subjects whose hot
-// loops mix provably distinct locations), the whole-program exec-cycle delta
-// with the alias-aware memory pipeline on, and the verification-map shrink
-// from eliding stores into provably non-escaping allocations. It also proves
-// the two safety properties the passes claim: a validated compile produces
-// zero tv rejections, and a GA search with the alias-consuming passes
-// excluded from the pool yields a byte-identical decision trace whether
-// summaries are attached or not. Results land in BENCH_alias.json (schema
-// checked by `audit check bench`).
-func BenchmarkAliasAnalysis(b *testing.B) {
-	// Kernel subjects: hot regions over several distinct arrays or fields,
-	// where base/slot separation is provable. FFT and SOR are reported but
-	// not gated — their kernels index one shared array with loop-carried
-	// expressions no flow-insensitive analysis can separate.
-	kernelApps := map[string]bool{"Sparse matmult": true, "Linpack": true, "Dhrystone": true}
-	appNames := []string{"Sparse matmult", "Linpack", "Dhrystone", "FFT", "SOR", "MaterialLife"}
-	const minKernelDisambiguationPct = 30.0
-
-	specFor := func(name string) (apps.Spec, bool) {
-		if name == "ScratchFilter" {
-			return apps.ScratchSpec(), true
-		}
-		return apps.ByName(name)
-	}
-	aliasSpecs := []lir.PassSpec{
-		{Name: "storeforward"},
-		{Name: "dse"},
-		{Name: "licm", Params: map[string]int{"loads": 1}},
-		{Name: "stackalloc"},
-		{Name: "simplifycfg"},
-		{Name: "dce"},
-	}
-
-	var rows []pts.BenchApp
-	var vmaps []pts.BenchVmap
-	var tvRejected int
-	traceParity := false
-	for i := 0; i < b.N; i++ {
-		rows, vmaps = nil, nil
-		tvRejected = 0
-		for _, name := range appNames {
-			spec, ok := apps.ByName(name)
-			if !ok {
-				b.Fatalf("unknown app %s", name)
-			}
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			located, ok, err := new(core.Optimizer).LocateHotRegion(app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				b.Fatalf("%s: no replayable hot region", name)
-			}
-			analysis, region := located.Analysis, located.Region
-			start := time.Now()
-			pts.Attach(analysis.Effects)
-			analysisMs := time.Since(start).Seconds() * 1000
-
-			rep := pts.BuildReport(name, analysis.Effects, region.Methods)
-			row := pts.BenchApp{
-				App: name, Kernel: kernelApps[name], AnalysisMs: analysisMs,
-				Pairs: rep.Totals.Pairs, Proven: rep.Totals.Proven,
-				Sites: rep.Totals.Sites, NonEscaping: rep.Totals.NonEscaping,
-			}
-			if row.Pairs > 0 {
-				row.DisambiguationPct = 100 * float64(row.Proven) / float64(row.Pairs)
-			}
-
-			// Hot-region compile at O1 + the alias-aware memory pipeline,
-			// strict-validated: these passes must never earn a Rejected.
-			base, _ := lir.Preset("O1")
-			opt := base
-			opt.Passes = append(append([]lir.PassSpec{}, base.Passes...), aliasSpecs...)
-			chk := tv.NewChecker(tv.Options{})
-			optChecked := opt
-			optChecked.Observe(chk)
-			if _, err := lir.Compile(app.Prog, region.Methods, optChecked, nil, analysis.Effects); err != nil {
-				b.Fatal(err)
-			}
-			_, _, rejected := chk.Counts()
-			tvRejected += rejected
-
-			// Whole-program exec-cycle delta with the memory passes on.
-			baseAll, err := lir.Compile(app.Prog, nil, base, nil, analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			optAll, err := lir.Compile(app.Prog, nil, opt, nil, analysis.Effects)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, row.CyclesBase, err = runWhole(app, baseAll); err != nil {
-				b.Fatal(err)
-			}
-			if _, row.CyclesOpt, err = runWhole(app, optAll); err != nil {
-				b.Fatal(err)
-			}
-			row.CycleDeltaPct = (float64(row.CyclesOpt)/float64(row.CyclesBase) - 1) * 100
-
-			if row.Kernel && row.DisambiguationPct < minKernelDisambiguationPct {
-				b.Fatalf("%s: alias analysis disambiguated %.0f%% of same-kind pairs, want >= %.0f%%",
-					name, row.DisambiguationPct, minKernelDisambiguationPct)
-			}
-			rows = append(rows, row)
-		}
-		if tvRejected > 0 {
-			b.Fatalf("%d tv rejections on alias-pass pipelines (passes must never be Rejected)", tvRejected)
-		}
-
-		// Verification-map shrink: regions whose hot code allocates scratch
-		// objects the analysis proves non-escaping, built with summaries
-		// nulled (blind) and attached.
-		for _, name := range []string{"ScratchFilter", "MaterialLife"} {
-			spec, _ := specFor(name)
-			app, err := apps.Build(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opt := core.New(core.DefaultOptions())
-			p, err := opt.Prepare(app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eff := p.Analysis.Effects
-			al := eff.Alias
-			eff.Alias = nil
-			blind, _, err := verify.Build(opt.Dev, opt.Store, p.Snapshot, app.Prog, eff)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eff.Alias = al
-			aware, _, err := verify.Build(opt.Dev, opt.Store, p.Snapshot, app.Prog, eff)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(aware.Entries) > len(blind.Entries) {
-				b.Fatalf("%s: alias-aware vmap grew (%d -> %d entries)", name, len(blind.Entries), len(aware.Entries))
-			}
-			vmaps = append(vmaps, pts.BenchVmap{
-				App:          name,
-				Region:       app.Prog.Methods[p.Region.Root].Name,
-				EntriesBlind: len(blind.Entries),
-				EntriesAlias: len(aware.Entries),
-				StoresElided: aware.StoresElided,
-			})
-		}
-		shrunk := 0
-		for _, v := range vmaps {
-			shrunk += v.EntriesBlind - v.EntriesAlias
-		}
-		if shrunk <= 0 {
-			b.Fatal("alias-aware verification maps show no size win over the blind maps")
-		}
-
-		// Trace parity: with the alias-consuming passes excluded from the
-		// search pool, attached summaries must be invisible to the GA —
-		// byte-identical decision traces with and without them.
-		p, _, err := exp.PrepareApp("Fibonacci.recv", benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := benchScale(b).GA
-		opts.BaselineAndroidMs = p.AndroidEval.MeanMs
-		opts.BaselineO3Ms = p.O3Eval.MeanMs
-		opts.ExcludePasses = []string{"storeforward", "dse", "licm", "stackalloc"}
-		withAlias := ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
-		p.Analysis.Effects.Alias = nil
-		withoutAlias := ga.Search(rand.New(rand.NewSource(benchSeed)), p, opts).DecisionTrace()
-		traceParity = withAlias == withoutAlias
-		if !traceParity {
-			b.Fatal("decision trace changed when alias summaries were attached but the passes were unselected")
-		}
-	}
-
-	var proven, pairs, elided int
-	var analysisMs float64
-	for _, r := range rows {
-		proven += r.Proven
-		pairs += r.Pairs
-		analysisMs += r.AnalysisMs
-	}
-	for _, v := range vmaps {
-		elided += v.StoresElided
-	}
-	b.ReportMetric(float64(proven), "pairs-disambiguated")
-	b.ReportMetric(float64(proven)/float64(pairs)*100, "%disambiguated")
-	b.ReportMetric(float64(elided), "stores-elided")
-	b.ReportMetric(analysisMs/float64(len(rows)), "analysis-ms/app")
-
-	writeArtifact(b, "BENCH_alias.json", &pts.Bench{
-		SchemaVersion: pts.BenchSchemaVersion,
-		Benchmark:     "AliasAnalysis",
-		Apps:          rows,
-		Vmap:          vmaps,
-		KernelMinPct:  minKernelDisambiguationPct,
-		PairsProven:   proven,
-		PairsTotal:    pairs,
-		StoresElided:  elided,
-		TVRejected:    tvRejected,
-		TraceParity:   traceParity,
-		TraceApp:      "Fibonacci.recv",
-	})
-	fmt.Printf("alias analysis: %d/%d same-kind pairs disambiguated; %d vmap stores elided; tv rejects %d; trace parity %v\n",
-		proven, pairs, elided, tvRejected, traceParity)
-	for _, r := range rows {
-		fmt.Printf("  %-14s kernel=%-5v pairs %3d/%-3d (%4.0f%%) sites %d/%d local  cycles %+.2f%%  analysis %.1f ms\n",
-			r.App, r.Kernel, r.Proven, r.Pairs, r.DisambiguationPct, r.NonEscaping, r.Sites, r.CycleDeltaPct, r.AnalysisMs)
-	}
-	for _, v := range vmaps {
-		fmt.Printf("  vmap %-14s region=%s entries %d -> %d (elided %d)\n",
-			v.App, v.Region, v.EntriesBlind, v.EntriesAlias, v.StoresElided)
-	}
-}
-
-// tvBenchSrc is the miniature app the early-discard benchmark searches over
-// (a hot kernel with array traffic, a virtual call, and global stores —
-// enough surface for tvbreak to corrupt).
-const tvBenchSrc = `
-global float[] board;
-global int ticks;
-
-class Rule { func weight(int i) int { return i % 7; } }
-class Fancy extends Rule { func weight(int i) int { return (i * 3) % 11; } }
-
-func setup(int n) {
-	board = new float[n];
-	for (int i = 0; i < n; i = i + 1) { board[i] = itof(i % 13) * 0.5; }
-}
-
-func simulate(int rounds) int {
-	Rule r = new Fancy();
-	float acc = 0.0;
-	for (int k = 0; k < rounds; k = k + 1) {
-		for (int i = 0; i < len(board); i = i + 1) {
-			acc = acc + board[i] * itof(r.weight(i));
-		}
-	}
-	ticks = ticks + 1;
-	return ftoi(acc);
-}
-
-func main() int {
-	setup(400);
-	int total = 0;
-	for (int f = 0; f < 5; f = f + 1) {
-		total = total + simulate(3);
-		draw_frame(f);
-	}
-	print_int(total);
-	return total;
-}
-`
-
 // BenchmarkTranslationValidation measures the per-pass validator: compile
 // overhead with the checker attached, verdict composition at each preset,
 // and — with the deliberately miscompiling tvbreak pass dropped into the
@@ -952,25 +372,14 @@ func BenchmarkTranslationValidation(b *testing.B) {
 		// With tvbreak in the catalog, a validated search reports how many
 		// candidates it stopped at compile time and the replays that saved.
 		// Whether the search samples tvbreak at all is up to its seed, so
-		// these figures are reported, not gated.
-		cleanup := lir.RegisterForTesting(tv.MiscompilePass())
-		prog, err := minic.CompileSource("miniapp", tvBenchSrc)
+		// these figures are reported, not gated; TestEarlyDiscard proves the
+		// claim itself on one fixed candidate.
+		app, opts, cleanup, err := tvMiniApp()
 		if err != nil {
-			cleanup()
 			b.Fatal(err)
 		}
-		opts := core.DefaultOptions()
-		opts.GA.Population = 8
-		opts.GA.Generations = 3
-		opts.GA.HillClimbBudget = 6
-		opts.OnlineRuns = 3
-		opts.Seed = 10
 		opts.TVCheck = true
-		app := &core.App{Name: "miniapp", Prog: prog}
 		rep, err := core.New(opts).Optimize(app)
-		if err == nil {
-			err = checkEarlyDiscard(opts, app)
-		}
 		cleanup()
 		if err != nil {
 			b.Fatal(err)
@@ -1004,36 +413,6 @@ func BenchmarkTranslationValidation(b *testing.B) {
 	})
 	fmt.Printf("translation validation: %.0f%% compile overhead; %d/%d passes verified; %d candidates rejected statically, %d replays saved\n",
 		(checked-plain)/plain*100, verified, verified+unverified, tvRejects, savedReplays)
-}
-
-// checkEarlyDiscard proves the early-discard claim on one candidate whose
-// pipeline contains tvbreak: with TVCheck on, app's Prepared discards it as
-// tv-reject at compile time, without a replay; with TVCheck off, the same
-// candidate is replayed and the verification map discards it.
-func checkEarlyDiscard(opts core.Options, app *core.App) error {
-	bad := lir.O1()
-	bad.Passes = append(bad.Passes, lir.PassSpec{Name: tv.MiscompilePassName})
-	for _, tvcheck := range []bool{true, false} {
-		sc := obs.New()
-		opts.TVCheck, opts.Obs = tvcheck, sc
-		p, err := core.New(opts).Prepare(app)
-		if err != nil {
-			return err
-		}
-		replays := sc.Counter("replay.runs").Value()
-		ev := p.Evaluate(bad)
-		replays = sc.Counter("replay.runs").Value() - replays
-		causes := sc.Tally("core.discard_causes")
-		switch {
-		case tvcheck && (ev.Outcome != ga.OutcomeTVReject || causes.Get("tv-reject") != 1 || replays != 0):
-			return fmt.Errorf("tvcheck on: tvbreak candidate got %s after %d replays (causes %v), want tv-reject at compile time",
-				ev.Outcome, replays, causes.Counts())
-		case !tvcheck && (ev.Outcome != ga.OutcomeWrongOutput || causes.Get("verify-mismatch") != 1 || replays == 0):
-			return fmt.Errorf("tvcheck off: tvbreak candidate got %s after %d replays (causes %v), want a verification-map discard",
-				ev.Outcome, replays, causes.Counts())
-		}
-	}
-	return nil
 }
 
 // BenchmarkSearchParallel measures the replay throughput engine: the same

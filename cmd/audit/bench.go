@@ -8,8 +8,6 @@ import (
 
 	"replayopt/internal/fleet"
 	"replayopt/internal/ga"
-	"replayopt/internal/sa/pts"
-	"replayopt/internal/sa/vra"
 	"replayopt/internal/schema"
 )
 
@@ -17,9 +15,8 @@ import (
 // -compare gates it on a baseline of the same benchmark. SearchParallel is
 // gated on each baseline cell's evals/sec (cells new to the artifact are
 // allowed; -compare-normalized divides every cell by the run's cold serial
-// cell so machine speed cancels), AliasAnalysis on each baseline app's
-// disambiguation rate and vmap subject's entry shrink, and Fleet on cache
-// hit ratio and uploads/sec.
+// cell so machine speed cancels), and Fleet on cache hit ratio and
+// uploads/sec.
 func runBench(e *env, args []string) int {
 	fs := e.flags()
 	baseline := fs.String("compare", "", "baseline artifact to regression-check the argument against")
@@ -50,12 +47,10 @@ func runBench(e *env, args []string) int {
 	switch b := base.(type) {
 	case *ga.Bench:
 		err = compareParallel(e.stdout, b, doc.(*ga.Bench), *tolerance, *normalized)
-	case *pts.Bench:
-		err = compareAlias(e.stdout, b, doc.(*pts.Bench), *tolerance)
 	case *fleet.Bench:
 		err = compareFleet(e.stdout, b, doc.(*fleet.Bench), *tolerance)
 	default:
-		return e.fail(2, "-compare gates SearchParallel, AliasAnalysis, and Fleet artifacts only")
+		return e.fail(2, "-compare gates SearchParallel and Fleet artifacts only")
 	}
 	if err != nil {
 		return e.fail(1, "%v", err)
@@ -85,24 +80,6 @@ func printBench(w io.Writer, path string, doc schema.Checker) {
 			d.SearchesRun, d.SearchesPerHr, d.ResumedEvals, d.CacheHitRatio)
 		for _, r := range d.Sweep {
 			fmt.Fprintf(w, "  concurrency=%-3d uploads=%-5d %8.1f uploads/sec\n", r.Concurrency, r.Uploads, r.UploadsPerSec)
-		}
-	case *pts.Bench:
-		fmt.Fprintf(w, "%s: %s, %d/%d same-kind pairs disambiguated; %d vmap stores elided; tv rejects %d; trace parity %v (%s)\n",
-			path, d.Benchmark, d.PairsProven, d.PairsTotal, d.StoresElided, d.TVRejected, d.TraceParity, d.TraceApp)
-		for _, r := range d.Apps {
-			fmt.Fprintf(w, "  %-14s kernel=%-5v pairs %3d/%-3d (%4.0f%%) sites %d/%d local  analysis %.1f ms\n",
-				r.App, r.Kernel, r.Proven, r.Pairs, r.DisambiguationPct, r.NonEscaping, r.Sites, r.AnalysisMs)
-		}
-		for _, v := range d.Vmap {
-			fmt.Fprintf(w, "  vmap %-14s region=%s entries %d -> %d (elided %d)\n",
-				v.App, v.Region, v.EntriesBlind, v.EntriesAlias, v.StoresElided)
-		}
-	case *vra.Bench:
-		fmt.Fprintf(w, "%s: %s, %d bounds checks discharged; tv rejects %d; trace parity %v (%s)\n",
-			path, d.Benchmark, d.Discharged, d.TVRejected, d.TraceParity, d.TraceApp)
-		for _, r := range d.Apps {
-			fmt.Fprintf(w, "  %-14s kernel=%-5v bound %3d -> %3d (%4.0f%%) divu %d  analysis %.1f ms\n",
-				r.App, r.Kernel, r.BoundsBase, r.BoundsOpt, r.DischargePct, r.UnguardedDivs, r.AnalysisMs)
 		}
 	case *ga.Bench:
 		fmt.Fprintf(w, "%s: %s on %s (%s scale), warm speedup %.2fx at %d workers\n",
@@ -159,57 +136,6 @@ func compareParallel(w io.Writer, base, next *ga.Bench, tolerance float64, norma
 	}
 	if failed {
 		return fmt.Errorf("evals/sec regressed beyond %.0f%% tolerance", tolerance*100)
-	}
-	return nil
-}
-
-// compareAlias gates a new AliasAnalysis artifact on a baseline: every
-// baseline app must keep its disambiguation rate and every baseline vmap
-// subject its entry shrink, within the tolerance. The quantities are counts
-// of static proofs, not timings, so cross-machine runs compare directly.
-func compareAlias(w io.Writer, base, next *pts.Bench, tolerance float64) error {
-	nextApp := map[string]pts.BenchApp{}
-	for _, r := range next.Apps {
-		nextApp[r.App] = r
-	}
-	nextVmap := map[string]pts.BenchVmap{}
-	for _, v := range next.Vmap {
-		nextVmap[v.App] = v
-	}
-	var failed bool
-	for _, br := range base.Apps {
-		nr, ok := nextApp[br.App]
-		if !ok {
-			fmt.Fprintf(w, "MISSING   %-14s (baseline %.0f%% disambiguated)\n", br.App, br.DisambiguationPct)
-			failed = true
-			continue
-		}
-		status := "ok"
-		if nr.DisambiguationPct < br.DisambiguationPct*(1-tolerance) {
-			status = "REGRESSED"
-			failed = true
-		}
-		fmt.Fprintf(w, "%-9s %-14s %5.1f%% -> %5.1f%% disambiguated\n",
-			status, br.App, br.DisambiguationPct, nr.DisambiguationPct)
-	}
-	for _, bv := range base.Vmap {
-		nv, ok := nextVmap[bv.App]
-		if !ok {
-			fmt.Fprintf(w, "MISSING   vmap %-14s (baseline shrink %d)\n", bv.App, bv.EntriesBlind-bv.EntriesAlias)
-			failed = true
-			continue
-		}
-		baseShrink := bv.EntriesBlind - bv.EntriesAlias
-		nextShrink := nv.EntriesBlind - nv.EntriesAlias
-		status := "ok"
-		if float64(nextShrink) < float64(baseShrink)*(1-tolerance) {
-			status = "REGRESSED"
-			failed = true
-		}
-		fmt.Fprintf(w, "%-9s vmap %-14s shrink %4d -> %4d entries\n", status, bv.App, baseShrink, nextShrink)
-	}
-	if failed {
-		return fmt.Errorf("alias artifact regressed beyond %.0f%% tolerance", tolerance*100)
 	}
 	return nil
 }

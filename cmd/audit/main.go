@@ -89,9 +89,6 @@ var documents = map[string]func() schema.Checker{
 // benchmarks maps the "benchmark" field of a BENCH_*.json artifact to a
 // fresh document of its type.
 var benchmarks = map[string]func() schema.Checker{
-	"EffectAnalysis":        func() schema.Checker { return new(sa.Bench) },
-	"RangeAnalysis":         func() schema.Checker { return new(vra.Bench) },
-	"AliasAnalysis":         func() schema.Checker { return new(pts.Bench) },
 	"TranslationValidation": func() schema.Checker { return new(tv.Bench) },
 	"SearchParallel":        func() schema.Checker { return new(ga.Bench) },
 	"SnapshotStore":         func() schema.Checker { return new(castore.Bench) },

@@ -38,6 +38,15 @@ func tinyStore(t *testing.T) string {
 
 func TestRun(t *testing.T) {
 	store := tinyStore(t)
+	// Every committed artifact, as one stream for `audit check bench`.
+	var committed []byte
+	for _, name := range []string{"tv", "parallel", "store", "fleet"} {
+		data, err := os.ReadFile("../../BENCH_" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed = append(committed, data...)
+	}
 	fleetBench, err := os.ReadFile("../../BENCH_fleet.json")
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +71,11 @@ func TestRun(t *testing.T) {
 		{name: "alias json", args: []string{"alias", "-app", "ScratchFilter", "-json"}, checkKind: "alias"},
 		{name: "tv json", args: []string{"tv", "-app", "BubbleSort", "-presets", "O1", "-json"}, checkKind: "tv"},
 		{name: "store json", args: []string{"store", "-json", store}, checkKind: "store"},
-		{name: "committed bench", args: []string{"check", "bench"}, stdin: string(fleetBench)},
+		{name: "committed bench", args: []string{"check", "bench"}, stdin: string(committed)},
+		{name: "compare parallel", args: []string{"bench", "-compare", "../../BENCH_parallel.json", "../../BENCH_parallel.json"}},
+		{name: "compare fleet", args: []string{"bench", "-compare", "../../BENCH_fleet.json", "../../BENCH_fleet.json"}},
+		{name: "compare ungated", args: []string{"bench", "-compare", "../../BENCH_tv.json", "../../BENCH_tv.json"},
+			wantStatus: 2, wantStderr: "gates SearchParallel and Fleet artifacts only"},
 		{name: "no subcommand", wantStatus: 2, wantStderr: "usage"},
 		{name: "unknown subcommand", args: []string{"lint"}, wantStatus: 2, wantStderr: `unknown subcommand "lint"`},
 		{name: "unknown app", args: []string{"effects", "-app", "Nope"}, wantStatus: 2, wantStderr: `unknown app "Nope"`},

@@ -10,11 +10,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"replayopt/internal/stats"
 )
 
 // Registry holds a scope's metrics.
@@ -222,29 +223,14 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Quantile reports the exact q-quantile (0 <= q <= 1) by the nearest-rank
-// rule; 0 when empty.
+// rule of stats.NearestRank; 0 when empty.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
 	h.mu.Lock()
-	sorted := append([]float64(nil), h.vs...)
-	h.mu.Unlock()
-	if len(sorted) == 0 {
-		return 0
-	}
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
+	defer h.mu.Unlock()
+	return stats.NearestRank(h.vs, q)
 }
 
 // Tally is a counter keyed by a string label (outcome classes, discard

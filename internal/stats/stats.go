@@ -49,6 +49,25 @@ func Median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// NearestRank returns the exact q-quantile of xs (0 <= q <= 1) by the
+// nearest-rank rule: the smallest value with at least a q share of xs at or
+// below it. q <= 0 gives the minimum, q >= 1 the maximum, and empty input 0.
+func NearestRank(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	i := int(math.Ceil(q*float64(len(s)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(s) {
+		i = len(s) - 1
+	}
+	return s[i]
+}
+
 // MAD returns the median absolute deviation.
 func MAD(xs []float64) float64 {
 	m := Median(xs)

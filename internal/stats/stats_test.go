@@ -23,6 +23,30 @@ func TestMeanMedianBasics(t *testing.T) {
 	}
 }
 
+func TestNearestRank(t *testing.T) {
+	xs := []float64{5, 1, 4, 2, 3, 9, 7, 8, 6, 10} // 1..10, unsorted
+	for _, tc := range []struct {
+		xs   []float64
+		q    float64
+		want float64
+	}{
+		{nil, 0.5, 0},
+		{xs, 0, 1},
+		{xs, 0.5, 5},
+		{xs, 0.99, 10},
+		{xs, 1, 10},
+		{[]float64{7}, 0.5, 7},
+		{[]float64{2, 1}, 0.5, 1},
+	} {
+		if got := NearestRank(tc.xs, tc.q); got != tc.want {
+			t.Errorf("NearestRank(%v, %v) = %v, want %v", tc.xs, tc.q, got, tc.want)
+		}
+	}
+	if xs[0] != 5 {
+		t.Error("NearestRank reordered its input")
+	}
+}
+
 func TestMADOutlierRemoval(t *testing.T) {
 	xs := []float64{10, 11, 9, 10, 10.5, 9.5, 100} // one gross outlier
 	out := RemoveOutliersMAD(xs, 3)
